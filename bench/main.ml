@@ -253,48 +253,6 @@ let bench_certify_catalog =
       ignore
         (Report.Certify_report.rows ~flavors:[ Device.Technology.ll ] ()))
 
-(* A 1k-candidate design space over LL/RCA: the clock-frequency axis cut
-   into 1000 slices from 0.5x to 4x the paper's operating point, each
-   candidate spanning the full supply search range. Finding the
-   lowest-power design means certifying every box — unless the cheap
-   certified lower bound can discard the slices that provably cannot
-   beat the incumbent. Built once; the benches below share it. *)
-let dse_candidates =
-  let f_nom = calibrated_problem.Power_core.Power_law.f in
-  let lo = 0.5 *. f_nom and hi = 4.0 *. f_nom in
-  let n = 1000 in
-  let step = (hi -. lo) /. float_of_int n in
-  List.init n (fun i ->
-      let a = lo +. (float_of_int i *. step) in
-      {
-        Power_core.Dse.label = Printf.sprintf "slice-%03d" i;
-        box =
-          Power_core.Absint.box
-            ~f:(Numerics.Interval.make a (a +. step))
-            calibrated_problem;
-      })
-
-let bench_dse_prune =
-  slow "analysis:dse-prune" (fun () ->
-      ignore (Power_core.Dse.prune dse_candidates))
-
-(* A/B behind the pruner's reason to exist: running the full
-   branch-and-bound certification on every candidate box versus pruning
-   first with the coarse certified lower bound and certifying only the
-   survivors. Both arms end with a certificate for every box that could
-   still hold the lowest-power design. *)
-let certify_slice (c : Power_core.Dse.candidate) =
-  ignore (Power_core.Absint.certify c.box)
-
-let bench_diag_dse_exhaustive =
-  slow "diag:dse-exhaustive-1k-slices" (fun () ->
-      List.iter certify_slice dse_candidates)
-
-let bench_diag_dse_pruned =
-  slow "diag:dse-prune-then-certify-1k-slices" (fun () ->
-      let result = Power_core.Dse.prune dse_candidates in
-      List.iter certify_slice result.Power_core.Dse.kept)
-
 (* The generator-space Pareto explorer on a ~2k-candidate space: 18
    Booth substrates (radix x signedness x depth) x 5 parallelisation
    factors x 3 flavors x 8 frequency slices = 2160 candidates. The
@@ -454,9 +412,6 @@ let benchmarks =
     bench_percentile_sort;
     bench_percentile_select;
     bench_certify_catalog;
-    bench_dse_prune;
-    bench_diag_dse_exhaustive;
-    bench_diag_dse_pruned;
     bench_dse_pareto;
     bench_diag_dse_pareto_exhaustive;
     bench_diag_dse_pareto_pruned;

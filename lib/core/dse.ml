@@ -1,51 +1,8 @@
-(* Verified candidate pruning for the design-space explorer (ROADMAP
-   item 2). A candidate box is discarded only on a machine-checked
-   argument: its certified lower bound on min Ptot (the early-exit
-   incumbent query Absint.beats) exceeds a certified achievable value
-   elsewhere (the incumbent — the outward-rounded .hi of a point
-   evaluation in some other candidate). The box holding the true optimum
-   can therefore never be pruned. *)
-
-module Iv = Numerics.Interval
-
-type candidate = {
-  label : string;
-  box : Absint.box;
-}
-
-type result = {
-  kept : candidate list;
-  pruned : candidate list;
-  incumbent : float;
-}
-
-let c_candidates = Obs.Counter.make "dse.candidates"
-let c_pruned = Obs.Counter.make "dse.pruned"
-
-(* An achieved (certified attainable) upper bound inside one candidate:
-   Ptot at the supply-box midpoint, upper end of the interval over the
-   candidate's whole f box — sound whatever f the optimum picks. *)
-let achieved (c : candidate) =
-  let b = c.box in
-  (Absint.ptot_over { b with Absint.vdd = Iv.of_float (Iv.mid b.Absint.vdd) })
-    .Iv.hi
-
-let prune ?tol ?max_splits candidates =
-  match candidates with
-  | [] -> { kept = []; pruned = []; incumbent = infinity }
-  | _ ->
-    Obs.Counter.add c_candidates (List.length candidates);
-    let incumbent =
-      List.fold_left (fun acc c -> Float.min acc (achieved c)) infinity
-        candidates
-    in
-    let kept, pruned =
-      List.partition
-        (fun c -> Absint.beats ?tol ?max_splits c.box ~threshold:incumbent)
-        candidates
-    in
-    Obs.Counter.add c_pruned (List.length pruned);
-    { kept; pruned; incumbent }
+(* Verified candidate pruning for the design-space explorer. A candidate
+   box is discarded only on a machine-checked argument: its certified
+   lower bound on min Ptot (Absint.excludes) strictly exceeds an
+   incumbent the caller has already achieved elsewhere. The box holding
+   the true optimum can therefore never be pruned. *)
 
 let prune_against ?tol ?max_splits box ~incumbent =
   Absint.excludes ?tol ?max_splits box ~threshold:incumbent

@@ -1,36 +1,16 @@
 (** Verified pruning for the design-space explorer.
 
-    The Pareto DSE of ROADMAP item 2 enumerates thousands of candidate
+    The Pareto explorer ({!Explorer}) enumerates thousands of candidate
     (architecture × depth × parallelism × flavor) boxes; most cannot
-    possibly hold the optimum. {!prune} discards a candidate only on a
-    machine-checked argument — the early-exit incumbent query
-    ({!Absint.beats}) proves its min Ptot exceeds a certified achievable
-    value in some other candidate — so the box containing the true
-    optimum always survives (the admissible-bound property). *)
-
-type candidate = {
-  label : string;
-  box : Absint.box;
-}
-
-type result = {
-  kept : candidate list;  (** Original order preserved. *)
-  pruned : candidate list;
-  incumbent : float;
-      (** The achievable upper bound candidates were pruned against: the
-          least certified point evaluation over all candidates. *)
-}
-
-val prune : ?tol:float -> ?max_splits:int -> candidate list -> result
-(** [tol] and [max_splits] bound the per-candidate {!Absint.beats} work
-    (defaults [1e-3] and 64): tighter and higher prune more, never
-    unsoundly. Counters [dse.candidates], [dse.pruned]. *)
+    possibly hold the optimum. {!prune_against} discards a candidate only
+    on a machine-checked argument, so the box containing the true optimum
+    always survives (the admissible-bound property). *)
 
 val prune_against :
   ?tol:float -> ?max_splits:int -> Absint.box -> incumbent:float -> bool
-(** Single-candidate incumbent pruning for the streaming explorer:
-    [true] certifies the box's min Ptot is strictly above [incumbent]
-    (via {!Absint.excludes} — its pdyn clip plus lower-bound-only
-    branch-and-bound), so a candidate whose power can only land above an
-    already-achieved value is discarded without an exact solve. [false]
-    keeps the candidate. Defaults [tol] 2e-3, [max_splits] 32. *)
+(** Single-candidate incumbent pruning: [true] certifies the box's min
+    Ptot is strictly above [incumbent] (via {!Absint.excludes} — its pdyn
+    clip plus lower-bound-only branch-and-bound), so a candidate whose
+    power can only land above an already-achieved value is discarded
+    without an exact solve. [false] keeps the candidate. Defaults [tol]
+    2e-3, [max_splits] 32. *)

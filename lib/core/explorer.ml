@@ -139,47 +139,31 @@ type chars = {
   area : float;
 }
 
-let build_memo =
-  Memo.create ~name:"dse.build" (fun (family, radix, signedness, stages, bits) ->
-      match family with
-      | Booth -> Multipliers.Booth.generate ~signedness ~stages ~radix ~bits ()
-      | Dadda -> Multipliers.Spec_optimize.run (Multipliers.Dadda.basic ~bits)
-      | Wallace ->
-        Multipliers.Spec_optimize.run
-          (if stages <= 1 then Multipliers.Wallace.basic ~bits
-           else Multipliers.Wallace.pipelined ~bits ~stages))
+let build ~bits (sub : substrate) =
+  match sub.family with
+  | Booth ->
+    Multipliers.Booth.generate ~signedness:sub.signedness ~stages:sub.stages
+      ~radix:sub.radix ~bits ()
+  | Dadda -> Multipliers.Spec_optimize.run (Multipliers.Dadda.basic ~bits)
+  | Wallace ->
+    Multipliers.Spec_optimize.run
+      (if sub.stages <= 1 then Multipliers.Wallace.basic ~bits
+       else Multipliers.Wallace.pipelined ~bits ~stages:sub.stages)
 
-(* Keyed by the circuit's structural hash (plus the stimulus parameters),
-   not the generator tuple: distinct parameter points that elaborate to the
-   same structure share one STA/placement/activity run. Hand-rolled rather
-   than Parallel.Memo because the compute needs the spec, which is not part
-   of the key. *)
-let chars_mutex = Mutex.create ()
-
-let chars_table : (int * int * int, chars) Hashtbl.t = Hashtbl.create 64
-
-let c_chars_hit = Obs.Counter.make ~cat:"cache" "memo.dse.chars.hit"
-let c_chars_miss = Obs.Counter.make ~cat:"cache" "memo.dse.chars.miss"
-
-let characterize ~seed ~cycles (spec : Multipliers.Spec.t) =
-  let key = (Netlist.Circuit.structural_hash spec.circuit, seed, cycles) in
-  Mutex.lock chars_mutex;
-  let cached = Hashtbl.find_opt chars_table key in
-  Mutex.unlock chars_mutex;
-  match cached with
-  | Some c ->
-    Obs.Counter.incr c_chars_hit;
-    c
-  | None ->
-    Obs.Counter.incr c_chars_miss;
-    let stats = Multipliers.Spec.stats spec in
-    let placement = Netlist.Placement.place spec.circuit in
-    let avg_cap =
-      (Netlist.Placement.refine_stats spec.circuit placement)
-        .avg_cap_with_wires
-    in
-    let measured = Multipliers.Harness.measure_activity ~seed ~cycles spec in
-    let c =
+(* Build then characterize, memoized by generator parameters plus the
+   stimulus parameters, so repeat explorations (and the exhaustive arm of
+   an A/B run) skip straight to the cached characterization. The netlist
+   itself is dropped once characterized. *)
+let chars_memo =
+  Parallel.Memo.create ~name:"dse.chars" (fun (sub, bits, seed, cycles) ->
+      let spec = build ~bits sub in
+      let stats = Multipliers.Spec.stats spec in
+      let placement = Netlist.Placement.place spec.circuit in
+      let avg_cap =
+        (Netlist.Placement.refine_stats spec.circuit placement)
+          .avg_cap_with_wires
+      in
+      let measured = Multipliers.Harness.measure_activity ~seed ~cycles spec in
       {
         n_cells = float_of_int stats.cell_total;
         activity = measured.activity;
@@ -187,16 +171,11 @@ let characterize ~seed ~cycles (spec : Multipliers.Spec.t) =
         avg_leak_factor = stats.avg_leak_factor;
         ld_eff = Multipliers.Spec.logical_depth_effective spec;
         area = stats.area;
-      }
-    in
-    Mutex.lock chars_mutex;
-    Hashtbl.replace chars_table key c;
-    Mutex.unlock chars_mutex;
-    c
+      })
 
 (* Store codec for a characterization: six exact hex floats, keyed by the
-   generator parameters (never the structural hash — the whole point is to
-   answer before building the netlist). *)
+   generator parameters (the whole point is to answer before building the
+   netlist). *)
 let sign_tag = function
   | Multipliers.Booth.Unsigned -> "u"
   | Multipliers.Booth.Signed -> "s"
@@ -363,10 +342,9 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
   if combos = [] then
     invalid_arg
       "Explorer.explore: no valid (family, radix, signedness, stages) combo";
-  (* Build + characterize each substrate once, in parallel; the memo pair
-     makes repeat explorations (and the exhaustive arm of an A/B run) skip
-     straight to cached characterizations. Warm-store lookups and writes
-     both run on the caller — a hit skips the build entirely. *)
+  (* Build + characterize each substrate once, in parallel, through the
+     process-wide memo. Warm-store lookups and writes both run on the
+     caller — a hit skips the build entirely. *)
   let lookups =
     List.map
       (fun sub ->
@@ -386,11 +364,8 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
         match stored with
         | Some c -> (sub, skey, c, false)
         | None ->
-          let spec =
-            Memo.find build_memo
-              (sub.family, sub.radix, sub.signedness, sub.stages, axes.bits)
-          in
-          (sub, skey, characterize ~seed ~cycles spec, true))
+          let c = Parallel.Memo.find chars_memo (sub, axes.bits, seed, cycles) in
+          (sub, skey, c, true))
       lookups
   in
   (match store with

@@ -29,8 +29,9 @@
 
     Counters: [dse.enumerated], [dse.constraint_filtered],
     [dse.bound_pruned], [dse.cert_pruned], [dse.store_hits],
-    [dse.exact_solves], [pareto.front_size]; caches [memo.dse.build.*],
-    [memo.dse.chars.*]; store traffic under [store.*]. *)
+    [dse.exact_solves], [pareto.front_size]; cache [memo.dse.chars.*]
+    (one build + characterization per substrate, bits and stimulus); store
+    traffic under [store.*]. *)
 
 type family = Booth | Dadda | Wallace
 

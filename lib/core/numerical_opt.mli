@@ -22,16 +22,21 @@ val ptot_on_constraint : Power_law.problem -> float -> float
     (vdd ≤ 0). *)
 
 val optimum :
-  ?vdd_lo:float -> ?vdd_hi:float -> ?samples:int ->
+  ?vdd_lo:float -> ?vdd_hi:float -> ?from:point ->
   Power_law.problem -> point
-(** One-dimensional search over Vdd on the constraint locus. Seeds from
-    {!Closed_form}'s Eq. 10 [vdd_opt] when the problem is inside the
-    linearization's validity domain (the closed form is feasible and its
-    predicted optimum falls inside both the Eq. 7 fit range and the search
-    bracket), then refines with {!Numerics.Minimize.seeded_bracket}. Falls
-    back to the {!optimum_grid} scan otherwise, counted by the
-    [opt.seed_fallbacks] counter. [samples] only affects the fallback
-    path. Default search range {!Power_law.vdd_search_range}
+(** One-dimensional search over Vdd on the constraint locus. Without
+    [from], seeds from {!Closed_form}'s Eq. 10 [vdd_opt] when the problem
+    is inside the linearization's validity domain (the closed form is
+    feasible and its predicted optimum falls inside both the Eq. 7 fit
+    range and the search bracket), then refines with
+    {!Numerics.Minimize.seeded_bracket}; falls back to the {!optimum_grid}
+    scan otherwise, counted by the [opt.seed_fallbacks] counter.
+
+    [optimum ~from problem] re-optimises a problem known to be close to an
+    already solved one, seeding from [from]'s optimal supply with a tight
+    (2 %) trust radius. The bracket expansion makes the result exact even
+    when the neighbour is further away than that — only the iteration
+    count grows. Default search range {!Power_law.vdd_search_range}
     (0.05–3.0 V). *)
 
 val optimum_grid :
@@ -43,74 +48,19 @@ val optimum_grid :
     oracle the seeded {!optimum} is property-tested against, and its
     fallback. Default search range {!Power_law.vdd_search_range}. *)
 
-val optimum_warm :
-  ?vdd_lo:float -> ?vdd_hi:float -> from:point -> Power_law.problem -> point
-(** [optimum_warm ~from problem] re-optimises a problem known to be close
-    to an already solved one, seeding from [from]'s optimal supply with a
-    tight (2 %) trust radius. The bracket expansion makes the result exact
-    even when the neighbour is further away than that — only the iteration
-    count grows. *)
-
-val optimum_hinted :
-  ?vdd_lo:float -> ?vdd_hi:float -> hint:point option ->
-  Power_law.problem -> point
-(** Hint path: [Some from] seeds via {!optimum_warm}, [None] solves cold.
-    Hinted results agree with the grid oracle to 1e-6 relative
-    (property-tested, like the Eq. 13 seeding of PR 5) but are {e not}
-    bitwise-equal to a cold solve — bitwise-critical paths (explorer
-    fronts, serve replies) must use {!optimum_stored} instead. *)
-
-val warm_hint :
-  ?vdd_lo:float -> ?vdd_hi:float -> store:Store.t ->
-  Power_law.problem -> point option
-(** A stored optimum usable as an {!optimum_warm} seed: the exact problem
-    key when present, else the stored solve of the same design at the
-    nearest frequency. [None] when the store knows nothing related. *)
-
-val optimum_stored :
-  ?vdd_lo:float -> ?vdd_hi:float -> store:Store.t ->
-  Power_law.problem -> point
-(** Bitwise-safe store path: an exact-key hit replays the stored bits
-    (the solver is deterministic, so they equal what a cold solve would
-    produce); a miss solves via {!optimum} and persists the result.
-    Counted by [opt.store_hits] / [opt.store_misses]. *)
+val optimum_stored : store:Store.t -> Power_law.problem -> point
+(** Bitwise-safe store path over the default search range: an exact-key
+    hit replays the stored bits (the solver is deterministic, so they
+    equal what a cold solve would produce); a miss solves via {!optimum}
+    and persists the result. Counted by [opt.store_hits] /
+    [opt.store_misses]. *)
 
 val continuation_chunk : int
 (** The fixed chunk length (16) {!optima_continued} cuts item lists into.
     Exposed so the serve layer can re-create the exact same chunking when
     it coalesces several requests into one pool dispatch. *)
 
-val solve_chain :
-  ?vdd_lo:float -> ?vdd_hi:float -> Power_law.problem list -> point list
-(** One warm-start continuation chain, entirely on the calling domain: the
-    head solves cold via {!optimum}, every successor via {!optimum_warm}
-    from its predecessor. [optima_continued] is exactly [solve_chain]
-    applied to each fixed-size chunk through the pool; callers that own
-    their parallel decomposition (the serve batcher) use this directly. *)
-
-val optima_continued :
-  ?pool:Parallel.Pool.t ->
-  ?vdd_lo:float ->
-  ?vdd_hi:float ->
-  ?chunk:int ->
-  problem_of:('a -> Power_law.problem) ->
-  'a list ->
-  point list
-(** Continuation solve of a family of related problems (a Vdd or frequency
-    sweep, a technology ladder, Monte-Carlo dies): the items are cut into
-    contiguous chunks of [chunk] (default {!continuation_chunk}) mapped
-    through {!Parallel.Pool} ([pool] defaults to the shared process-wide
-    pool), and inside each chunk every solve is warm-started from its
-    predecessor's optimum ({!optimum_warm}); chunk heads solve cold via
-    {!optimum}. Results are returned in item order. The chunk size is a
-    constant independent of the pool size, so the warm chains — and every
-    floating-point bit of the result — are identical at any [-j].
-    [problem_of] must be pure (it may run on any pool domain).
-    @raise Invalid_argument if [chunk < 1]. *)
-
 val solve_chain_into :
-  ?vdd_lo:float ->
-  ?vdd_hi:float ->
   ?head:point ->
   problem_of:(int -> Power_law.problem) ->
   n:int ->
@@ -120,13 +70,36 @@ val solve_chain_into :
 (** [solve_chain_into ~problem_of ~n ~write ()] solves the [n] problems
     [problem_of 0 .. problem_of (n-1)] as one warm-started continuation
     chain on the calling domain: solve [i+1] seeds from solve [i]'s
-    optimum ({!optimum_warm}), and solve 0 seeds from [head] when given
+    optimum ([optimum ~from]), and solve 0 seeds from [head] when given
     (else it solves cold via {!optimum}). Each result is passed to
     [write i point] as soon as it is available — nothing is retained, so
     the caller can stream into flat arrays or sketches without per-die
-    allocation. This is the building block under {!Variation.yield_mc}'s
-    per-chunk solver; unlike {!optima_continued} it does not touch the
-    pool, letting the caller own the parallel decomposition. *)
+    allocation. This is the one chain loop: {!solve_chain},
+    {!optima_continued} and {!Variation.yield_mc}'s per-chunk solver all
+    run on it. It does not touch the pool, letting the caller own the
+    parallel decomposition. *)
+
+val solve_chain : Power_law.problem list -> point list
+(** {!solve_chain_into} over a list, without [head]: the head solves cold,
+    every successor warm-starts from its predecessor. [optima_continued]
+    is exactly [solve_chain] applied to each fixed-size chunk through the
+    pool; callers that own their parallel decomposition (the serve
+    batcher) use this directly. *)
+
+val optima_continued :
+  ?pool:Parallel.Pool.t ->
+  problem_of:('a -> Power_law.problem) ->
+  'a list ->
+  point list
+(** Continuation solve of a family of related problems (a Vdd or frequency
+    sweep, a technology ladder, Monte-Carlo dies): the items are cut into
+    contiguous chunks of {!continuation_chunk} mapped through
+    {!Parallel.Pool} ([pool] defaults to the shared process-wide pool),
+    and each chunk is one {!solve_chain}. Results are returned in item
+    order. The chunk size is a constant independent of the pool size, so
+    the warm chains — and every floating-point bit of the result — are
+    identical at any [-j]. [problem_of] must be pure (it may run on any
+    pool domain). *)
 
 val optimum_grid2 :
   ?vdd_range:float * float ->

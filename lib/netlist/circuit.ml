@@ -127,28 +127,6 @@ let mark_output_bus t nets bname =
 let cell_count t = Vec.length t.cells
 let net_count t = Vec.length t.nets
 
-(* FNV-1a over the structural content: cell kinds and connectivity plus the
-   primary I/O lists and net count. Names and net labels are excluded so two
-   builds of the same generator parameters hash equal regardless of the
-   circuit name. *)
-let structural_hash t =
-  let prime = 0x100000001b3 in
-  let mix h v = (h lxor v) * prime in
-  let fold_net h n = mix h (n + 1) in
-  let h =
-    Vec.fold_left
-      (fun h cell ->
-        let h = mix h (Hashtbl.hash cell.kind) in
-        let h = Array.fold_left fold_net h cell.inputs in
-        let h = Array.fold_left fold_net h cell.outputs in
-        match Hashtbl.find_opt t.dff_inits cell.id with
-        | Some Logic.One -> mix h 7
-        | _ -> h)
-      0x3bf29ce484222325 t.cells
-  in
-  let h = List.fold_left fold_net h t.pis in
-  let h = List.fold_left (fun h (n, _) -> fold_net h n) h t.pos in
-  mix h (Vec.length t.nets) land max_int
 let get_cell t id = Vec.get t.cells id
 let iter_cells f t = Vec.iter f t.cells
 let fold_cells f init t = Vec.fold_left f init t.cells

@@ -71,13 +71,6 @@ val rewire_input : t -> cell_id -> int -> net -> unit
 val cell_count : t -> int
 val net_count : t -> int
 
-val structural_hash : t -> int
-(** Non-negative FNV-style digest of the structure: cell kinds,
-    connectivity, DFF power-up values, primary I/O and net count — names
-    are excluded, so two builds of the same generator parameters collide
-    deterministically. The design-space explorer keys its netlist
-    characterization cache on this. *)
-
 val get_cell : t -> cell_id -> cell
 val iter_cells : (cell -> unit) -> t -> unit
 val fold_cells : ('acc -> cell -> 'acc) -> 'acc -> t -> 'acc

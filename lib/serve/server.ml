@@ -161,6 +161,12 @@ let listen_unix ?(backlog = 64) session ~path =
       Unix.unlink path)
   | _ -> raise (Unix.Unix_error (Unix.EEXIST, "listen_unix", path))
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  (* A client that hangs up before reading its reply must cost the server
+     an EPIPE (which [write_line] absorbs), not the process: SIGPIPE's
+     default action would kill it. No-op where the signal does not
+     exist. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.bind lfd (Unix.ADDR_UNIX path);

@@ -102,40 +102,57 @@ let test_bracket_contains_oracle () =
         P.table1)
     flavors
 
-(* Dse.prune over a 1k-candidate slicing of the supply axis: at least
-   half the boxes must go, and the box holding the grid-oracle optimum
-   must always survive. *)
+(* Dse.prune_against over a 1k-slice cut of the supply axis, for all 13
+   rows x 3 flavors. The incumbent is achieved: the least certified point
+   evaluation at a slice midpoint. At least half the slices must be
+   excluded, and never one holding the grid-oracle optimum. *)
 let test_dse_prune () =
-  let problem =
-    Power_core.Calibration.problem_of_row Device.Technology.ll
-      ~f:P.frequency (P.table1_find "RCA")
-  in
-  let oracle = N.optimum_grid problem in
   let lo, hi = Pl.vdd_search_range in
   let n = 1000 in
   let step = (hi -. lo) /. float_of_int n in
-  let candidates =
-    List.init n (fun i ->
-        let a = lo +. (float_of_int i *. step) in
-        {
-          Power_core.Dse.label = Printf.sprintf "slice-%03d" i;
-          box = Ab.box ~vdd:(Iv.make a (a +. step)) problem;
-        })
-  in
-  let result = Power_core.Dse.prune candidates in
-  let holds_optimum (c : Power_core.Dse.candidate) =
-    Iv.contains c.box.Ab.vdd oracle.Pl.vdd
-  in
-  if List.exists holds_optimum result.Power_core.Dse.pruned then
-    Alcotest.fail "pruned a candidate containing the oracle optimum";
-  if not (List.exists holds_optimum result.Power_core.Dse.kept) then
-    Alcotest.fail "no kept candidate contains the oracle optimum";
-  let pruned = List.length result.Power_core.Dse.pruned in
-  if pruned * 2 < n then
-    Alcotest.failf "pruned only %d/%d candidates (need >= 50%%)" pruned n;
-  Alcotest.(check int)
-    "partition covers input" n
-    (pruned + List.length result.Power_core.Dse.kept)
+  List.iter
+    (fun tech ->
+      List.iter
+        (fun (row : P.table1_row) ->
+          let problem =
+            Power_core.Calibration.problem_of_row tech ~f:P.frequency row
+          in
+          let oracle = N.optimum_grid problem in
+          let slices =
+            List.init n (fun i ->
+                let a = lo +. (float_of_int i *. step) in
+                Ab.box ~vdd:(Iv.make a (a +. step)) problem)
+          in
+          let incumbent =
+            List.fold_left
+              (fun acc (b : Ab.box) ->
+                let mid = { b with Ab.vdd = Iv.of_float (Iv.mid b.Ab.vdd) } in
+                Float.min acc (Ab.ptot_over mid).Iv.hi)
+              infinity slices
+          in
+          let what =
+            Printf.sprintf "%s/%s" (Device.Technology.name tech) row.P.label
+          in
+          let excluded = ref 0 and optimum_slices = ref 0 in
+          List.iter
+            (fun (b : Ab.box) ->
+              let gone = Power_core.Dse.prune_against b ~incumbent in
+              if gone then incr excluded;
+              if Iv.contains b.Ab.vdd oracle.Pl.vdd then begin
+                incr optimum_slices;
+                if gone then
+                  Alcotest.failf "%s: excluded the slice %s holding the \
+                                  oracle optimum"
+                    what (Iv.to_string b.Ab.vdd)
+              end)
+            slices;
+          if !optimum_slices = 0 then
+            Alcotest.failf "%s: no slice holds the oracle optimum" what;
+          if !excluded * 2 < n then
+            Alcotest.failf "%s: excluded only %d/%d slices (need >= 50%%)"
+              what !excluded n)
+        P.table1)
+    flavors
 
 (* The closed-form interval lift must enclose the scalar closed form
    across a frequency box, whenever the scalar evaluation is feasible. *)

@@ -341,29 +341,6 @@ let test_relative_error () =
   check_float "max abs" 0.2
     (Numerics.Stats.max_abs_relative_error [ (10.0, 9.0); (10.0, 12.0) ])
 
-(* Interp *)
-
-let test_interp_eval () =
-  let t = Numerics.Interp.of_points [ (0.0, 0.0); (1.0, 10.0); (2.0, 0.0) ] in
-  check_float "node" 10.0 (Numerics.Interp.eval t 1.0);
-  check_float "midpoint" 5.0 (Numerics.Interp.eval t 0.5);
-  check_float "extrapolation" (-10.0) (Numerics.Interp.eval t 3.0)
-
-let test_interp_argmin_map () =
-  let t = Numerics.Interp.of_function ~f:(fun x -> (x -. 1.0) ** 2.0) ~lo:0.0 ~hi:2.0 ~samples:21 in
-  let x, y = Numerics.Interp.argmin t in
-  check_close 1e-9 "argmin x" 1.0 x;
-  check_close 1e-9 "argmin y" 0.0 y;
-  let t2 = Numerics.Interp.map_y (fun y -> y +. 1.0) t in
-  check_close 1e-9 "map_y" 1.0 (snd (Numerics.Interp.argmin t2))
-
-let test_interp_rejects_unsorted () =
-  Alcotest.(check bool)
-    "unsorted rejected" true
-    (match Numerics.Interp.of_points [ (1.0, 0.0); (0.5, 1.0) ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 (* Extra edge cases across the numerics substrate. *)
 
 let test_percentile_validation () =
@@ -411,13 +388,6 @@ let test_nelder_mead_validation () =
      with
     | _ -> false
     | exception Invalid_argument _ -> true)
-
-let test_interp_of_function_bounds () =
-  let t = Numerics.Interp.of_function ~f:sin ~lo:0.0 ~hi:1.0 ~samples:11 in
-  let lo, hi = Numerics.Interp.domain t in
-  check_float "lo" 0.0 lo;
-  check_float "hi" 1.0 hi;
-  Alcotest.(check int) "points" 11 (List.length (Numerics.Interp.points t))
 
 let test_golden_section_iterations_bounded () =
   let r =
@@ -691,12 +661,6 @@ let () =
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "relative error" `Quick test_relative_error;
         ] );
-      ( "interp",
-        [
-          Alcotest.test_case "eval" `Quick test_interp_eval;
-          Alcotest.test_case "argmin/map" `Quick test_interp_argmin_map;
-          Alcotest.test_case "rejects unsorted" `Quick test_interp_rejects_unsorted;
-        ] );
       ( "interval",
         [
           Alcotest.test_case "construction" `Quick test_interval_construction;
@@ -727,7 +691,6 @@ let () =
           Alcotest.test_case "nelder-mead scale" `Quick test_nelder_mead_with_scale;
           Alcotest.test_case "nelder-mead validation" `Quick
             test_nelder_mead_validation;
-          Alcotest.test_case "interp of_function" `Quick test_interp_of_function_bounds;
           Alcotest.test_case "golden iterations" `Quick
             test_golden_section_iterations_bounded;
           Alcotest.test_case "grid validation" `Quick test_grid_then_golden_validation;

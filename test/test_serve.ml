@@ -597,6 +597,30 @@ let test_truncated_frame () =
   Thread.join handler;
   Client.close c
 
+(* Clients that hang up before reading their reply: the server's write
+   hits a closed peer, which must cost an EPIPE on that connection, not a
+   SIGPIPE that kills the process. A fresh connection is still served. *)
+let test_hangup_mid_reply () =
+  with_session adversary_config @@ fun session ->
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "optpower-hangup-%d.sock" (Unix.getpid ()))
+  in
+  let l = Server.listen_unix session ~path in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop l;
+      Server.wait l)
+    (fun () ->
+      for id = 1 to 5 do
+        let c = Client.connect path in
+        Client.send_line c (Json.to_string (frame_of ~id "lint" []));
+        Client.close c
+      done;
+      let c = Client.connect path in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> expect_alive c))
+
 let () =
   Alcotest.run "serve"
     [
@@ -631,5 +655,7 @@ let () =
             test_adversarial_frames;
           Alcotest.test_case "EOF-truncated frame" `Quick
             test_truncated_frame;
+          Alcotest.test_case "hang-up mid-reply keeps serving" `Quick
+            test_hangup_mid_reply;
         ] );
     ]
