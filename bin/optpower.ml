@@ -65,16 +65,139 @@ let no_store_arg =
   let doc = "Run cold: no warm store is opened or written." in
   Arg.(value & flag & info [ "no-store" ] ~doc)
 
-(* Constraint caps must be finite > 0 — reject at parse time so the
-   error is a usage message, not an uncaught Invalid_argument. *)
-let pos_float_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ -> Error (`Msg (Printf.sprintf "expected a finite value > 0, got %s" s))
-    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a float" s))
+(* Request flags, defined once for the local subcommands and [client]:
+   each maps to its wire param and is left out when absent, so the wire
+   defaults apply. No value is checked here — argv and wire frames both
+   go through [Serve.Protocol.parse_call]. *)
+
+module Json = Serve.Json
+
+let param key to_json ~docv ~doc opt_name kind =
+  let arg =
+    Arg.(value & opt (some kind) None & info [ opt_name ] ~docv ~doc)
   in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+  Term.(const (Option.map (fun v -> (key, to_json v))) $ arg)
+
+let switch key json ~doc flag_name =
+  let arg = Arg.(value & flag & info [ flag_name ] ~doc) in
+  Term.(const (fun on -> if on then Some (key, json) else None) $ arg)
+
+let str s = Json.Str s
+let strs l = Json.Arr (List.map str l)
+let int n = Json.Num (float_of_int n)
+let ints l = Json.Arr (List.map int l)
+let floats l = Json.Arr (List.map (fun v -> Json.Num v) l)
+
+let arch_flag =
+  param "arch" str "arch" Arg.string ~docv:"LABEL"
+    ~doc:"Table 1 architecture label (default $(b,RCA))."
+
+let archs_flag =
+  param "archs" strs "archs" Arg.(list string) ~docv:"LABEL,..."
+    ~doc:
+      "Comma-separated architecture labels (default: the full Table 1 \
+       catalog)."
+
+let tech_flag =
+  param "tech" str "tech" Arg.string ~docv:"FLAVOR"
+    ~doc:
+      "Technology flavor: $(b,ULL), $(b,LL) or $(b,HS) (default $(b,LL)). \
+       $(b,certify) and $(b,explore) also accept $(b,all), their default."
+
+let samples_flag =
+  param "samples" int "samples" Arg.int ~docv:"N"
+    ~doc:"Sweep sample count (default 25)."
+
+let only_flag =
+  param "only" strs "only" Arg.(list string) ~docv:"RULE-ID,..."
+    ~doc:
+      "Keep only lint findings of the given comma-separated rule ids (e.g. \
+       $(b,cert.solver-in-enclosure,model.finite)). Unknown ids fail \
+       immediately; the summary and exit code reflect the filtered report."
+
+let bits_flag =
+  param "bits" int "bits" Arg.int ~docv:"W"
+    ~doc:"Explore operand width (even, >= 4; default 8)."
+
+let family_flag =
+  param "families" strs "family" Arg.(list string) ~docv:"F,..."
+    ~doc:
+      "Substrate families to explore: $(b,booth), $(b,dadda) and/or \
+       $(b,wallace) (default: all three)."
+
+let radix_flag =
+  param "radices" ints "radix" Arg.(list int) ~docv:"R,..."
+    ~doc:"Booth radix axis (entries from {2, 4, 8})."
+
+let stages_flag =
+  param "stages" ints "stages" Arg.(list int) ~docv:"N,..."
+    ~doc:"Pipeline-depth axis (default 1,2,3)."
+
+let copies_flag =
+  param "copies" ints "copies" Arg.(list int) ~docv:"K,..."
+    ~doc:"Parallelisation axis (default 1,2,4)."
+
+let signed_flag =
+  switch "signed" (Json.Bool true) "signed"
+    ~doc:"Explore signed (Booth-recoded) operands."
+
+let fmult_flag =
+  param "fmults" floats "fmult" Arg.(list float) ~docv:"X,..."
+    ~doc:
+      "Frequency slices, as multiples of the paper's 31.25 MHz (default \
+       0.5,1,2,4)."
+
+let no_prune_flag =
+  switch "prune" (Json.Bool false) "no-prune"
+    ~doc:"Solve every candidate exactly (the differential oracle)."
+
+let max_latency_flag =
+  param "max_latency" (fun v -> Json.Num v) "max-latency" Arg.float
+    ~docv:"D"
+    ~doc:
+      "Keep only candidates with effective logic depth <= $(docv) \
+       (strictly positive)."
+
+let max_area_flag =
+  param "max_area" (fun v -> Json.Num v) "max-area" Arg.float
+    ~docv:"CELLS"
+    ~doc:"Keep only candidates with at most $(docv) cells (strictly positive)."
+
+let explore_flags =
+  [ bits_flag; family_flag; radix_flag; stages_flag; copies_flag;
+    signed_flag; fmult_flag; tech_flag; no_prune_flag; max_latency_flag;
+    max_area_flag ]
+
+let params flags =
+  List.fold_right
+    (fun flag rest ->
+      Term.(const (fun p ps -> Option.to_list p @ ps) $ flag $ rest))
+    flags (Term.const [])
+
+(* Argv defaults for params the wire requires. *)
+let argv_defaults = function
+  | "optimum" | "sweep" -> [ ("arch", Json.Str "RCA") ]
+  | _ -> []
+
+(* Validate argv exactly as the service validates a frame (minus the
+   service limits); invalid input is a usage error. *)
+let validate ~cmd meth params =
+  let params =
+    params
+    @ List.filter
+        (fun (key, _) -> not (List.mem_assoc key params))
+        (argv_defaults meth)
+  in
+  match Serve.Protocol.parse_call meth (Json.Obj params) with
+  | Ok call -> (call, params)
+  | Error (code, msg) ->
+    Printf.eprintf "optpower %s: %s: %s\n" cmd
+      (Serve.Protocol.code_string code) msg;
+    exit Cmd.Exit.cli_error
+
+(* The validated call of a local subcommand named after its method. *)
+let call_term meth flags =
+  Term.(const (fun ps -> fst (validate ~cmd:meth meth ps)) $ params flags)
 
 let open_warm ?readonly ~no_store path =
   if no_store then None else Power_core.Warm.open_store ?readonly ?path ()
@@ -212,14 +335,14 @@ let scratch_cmd =
   Cmd.v (Cmd.info "scratch" ~doc) Term.(const run $ jobs_arg $ obs_arg $ cycles)
 
 let sweep_cmd =
-  let label =
-    Arg.(
-      value & opt string "RCA"
-      & info [ "arch" ] ~doc:"Table 1 architecture label.")
-  in
-  let run obs label =
+  let run obs call =
     with_obs obs @@ fun () ->
-    let points = Serve.Engine.sweep label in
+    let points =
+      match call with
+      | Serve.Protocol.Sweep { tech; arch; samples; vdd_lo; vdd_hi } ->
+        Serve.Engine.sweep ~tech ~samples ~vdd_lo ~vdd_hi arch
+      | _ -> assert false
+    in
     Printf.printf "%-8s %-8s %-10s %-10s %-10s\n" "Vdd" "Vth" "Pdyn[uW]"
       "Pstat[uW]" "Ptot[uW]";
     List.iter
@@ -229,7 +352,8 @@ let sweep_cmd =
       points
   in
   let doc = "Print the Ptot(Vdd) locus for one architecture." in
-  Cmd.v (Cmd.info "sweep" ~doc) Term.(const run $ obs_arg $ label)
+  Cmd.v (Cmd.info "sweep" ~doc)
+    Term.(const run $ obs_arg $ call_term "sweep" [ arch_flag ])
 
 let ablate_cmd =
   let which =
@@ -388,74 +512,7 @@ let faults_cmd =
   let doc = "Stuck-at fault coverage of random vectors on the bare cores." in
   Cmd.v (Cmd.info "faults" ~doc) Term.(const run $ bits $ vectors)
 
-let family_enum =
-  [ ("booth", Power_core.Explorer.Booth);
-    ("dadda", Power_core.Explorer.Dadda);
-    ("wallace", Power_core.Explorer.Wallace) ]
-
 let explore_cmd =
-  let bits =
-    Arg.(value & opt int 8
-         & info [ "bits" ] ~docv:"W" ~doc:"Operand width (even, >= 4).")
-  in
-  let families =
-    Arg.(value
-         & opt (list (enum family_enum))
-             [ Power_core.Explorer.Booth; Power_core.Explorer.Dadda;
-               Power_core.Explorer.Wallace ]
-         & info [ "family" ] ~docv:"F,..."
-             ~doc:
-               "Substrate families to enumerate: $(b,booth), $(b,dadda) \
-                and/or $(b,wallace) (default: all three).")
-  in
-  let max_latency =
-    Arg.(value & opt (some pos_float_conv) None
-         & info [ "max-latency" ] ~docv:"D"
-             ~doc:
-               "Keep only candidates with effective logic depth <= $(docv) \
-                (strictly positive).")
-  in
-  let max_area =
-    Arg.(value & opt (some pos_float_conv) None
-         & info [ "max-area" ] ~docv:"CELLS"
-             ~doc:
-               "Keep only candidates with at most $(docv) cells (strictly \
-                positive).")
-  in
-  let radices =
-    Arg.(value & opt (list int) [ 2; 4; 8 ]
-         & info [ "radix" ] ~docv:"R,..."
-             ~doc:"Booth radix axis (entries from {2, 4, 8}).")
-  in
-  let stages =
-    Arg.(value & opt (list int) [ 1; 2; 3 ]
-         & info [ "stages" ] ~docv:"N,..." ~doc:"Pipeline-depth axis.")
-  in
-  let copies =
-    Arg.(value & opt (list int) [ 1; 2; 4 ]
-         & info [ "copies" ] ~docv:"K,..." ~doc:"Parallelisation axis.")
-  in
-  let signed =
-    Arg.(value & flag
-         & info [ "signed" ] ~doc:"Explore signed (Booth-recoded) operands.")
-  in
-  let fmults =
-    Arg.(value & opt (list float) [ 0.5; 1.0; 2.0; 4.0 ]
-         & info [ "fmult" ] ~docv:"X,..."
-             ~doc:"Frequency slices, as multiples of the paper's 31.25 MHz.")
-  in
-  let tech =
-    Arg.(value & opt (some (enum [ ("ULL", Device.Technology.ull);
-                                   ("LL", Device.Technology.ll);
-                                   ("HS", Device.Technology.hs) ])) None
-         & info [ "tech" ] ~docv:"FLAVOR"
-             ~doc:"Restrict to one technology flavor; default: all three.")
-  in
-  let no_prune =
-    Arg.(value & flag
-         & info [ "no-prune" ]
-             ~doc:"Solve every candidate exactly (the differential oracle).")
-  in
   let catalog =
     Arg.(value & flag
          & info [ "catalog" ]
@@ -468,8 +525,7 @@ let explore_cmd =
          & info [ "cycles" ] ~docv:"N"
              ~doc:"Simulated data cycles per characterisation.")
   in
-  let run jobs obs bits families max_latency max_area radices stages copies
-      signed fmults tech no_prune catalog cycles store_path no_store =
+  let run jobs obs call catalog cycles store_path no_store =
     set_jobs jobs;
     with_obs obs @@ fun () ->
     if catalog then
@@ -477,34 +533,19 @@ let explore_cmd =
         (Report.Studies.render_exploration
            ~cycles:(Option.value ~default:100 cycles)
            ~f:Power_core.Paper_data.frequency ())
-    else begin
-      let axes =
-        {
-          Power_core.Explorer.bits;
-          families;
-          radices;
-          signednesses =
-            [ (if signed then Multipliers.Booth.Signed
-               else Multipliers.Booth.Unsigned) ];
-          stages;
-          copies;
-          fmults;
-          techs =
-            (match tech with
-            | None -> Device.Technology.all
-            | Some t -> [ t ]);
-        }
-      in
-      print (Report.Dse_report.render_axes axes ^ "\n\n");
-      let store = open_warm ~no_store store_path in
-      Fun.protect ~finally:(fun () -> Option.iter Store.close store)
-      @@ fun () ->
-      let result =
-        Power_core.Explorer.explore ~prune:(not no_prune) ?cycles ?store
-          ?max_latency ?max_area axes
-      in
-      print (Report.Dse_report.render result ^ "\n")
-    end
+    else
+      match call with
+      | Serve.Protocol.Explore { axes; prune; max_latency; max_area } ->
+        print (Report.Dse_report.render_axes axes ^ "\n\n");
+        let store = open_warm ~no_store store_path in
+        Fun.protect ~finally:(fun () -> Option.iter Store.close store)
+        @@ fun () ->
+        let result =
+          Power_core.Explorer.explore ~prune ?cycles ?store ?max_latency
+            ?max_area axes
+        in
+        print (Report.Dse_report.render result ^ "\n")
+      | _ -> assert false
   in
   let doc =
     "Pruned Pareto design-space exploration over the multiplier generators \
@@ -513,9 +554,8 @@ let explore_cmd =
      the legacy 17-architecture study."
   in
   Cmd.v (Cmd.info "explore" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ bits $ families $ max_latency
-          $ max_area $ radices $ stages $ copies $ signed $ fmults $ tech
-          $ no_prune $ catalog $ cycles $ store_path_arg $ no_store_arg)
+    Term.(const run $ jobs_arg $ obs_arg $ call_term "explore" explore_flags
+          $ catalog $ cycles $ store_path_arg $ no_store_arg)
 
 let export_cmd =
   let arch =
@@ -791,20 +831,11 @@ let lint_cmd =
     in
     Arg.(value & opt int 8 & info [ "max-per-rule" ] ~docv:"N" ~doc)
   in
-  let only =
-    let doc =
-      "Keep only findings of the given comma-separated rule ids (e.g. \
-       $(b,cert.solver-in-enclosure,model.finite)). Unknown ids fail \
-       immediately; the summary and exit code reflect the filtered report."
-    in
-    Arg.(value & opt (some (list string)) None
-         & info [ "only" ] ~docv:"RULE-ID,..." ~doc)
-  in
   let list_rules =
     let doc = "Print the rule registry (id, severity, title) and exit." in
     Arg.(value & flag & info [ "list-rules" ] ~doc)
   in
-  let run jobs obs format max_per_rule only list_rules =
+  let run jobs obs format max_per_rule call list_rules =
     set_jobs jobs;
     if list_rules then begin
       List.iter
@@ -815,18 +846,13 @@ let lint_cmd =
         Analysis.Rule.all;
       exit 0
     end;
-    Option.iter
-      (List.iter (fun id ->
-           match Analysis.Rule.find id with
-           | _ -> ()
-           | exception Not_found ->
-             Printf.eprintf
-               "optpower: unknown rule id '%s' (see lint --list-rules)\n" id;
-             exit 2))
-      only;
     let code =
       with_obs obs @@ fun () ->
-      let report = Serve.Engine.lint ?only () in
+      let report =
+        match call with
+        | Serve.Protocol.Lint { only } -> Serve.Engine.lint ?only ()
+        | _ -> assert false
+      in
       (match format with
       | `Text -> print (Analysis.Render.text ~max_per_rule report)
       | `Json -> print (Analysis.Render.json report)
@@ -842,27 +868,19 @@ let lint_cmd =
      Exit code 0 when clean, 1 with warnings, 2 with errors."
   in
   Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ format $ max_per_rule $ only
-          $ list_rules)
+    Term.(const run $ jobs_arg $ obs_arg $ format $ max_per_rule
+          $ call_term "lint" [ only_flag ] $ list_rules)
 
 let certify_cmd =
-  let flavor =
-    let doc =
-      "Restrict to one technology flavor ($(b,ULL), $(b,LL) or $(b,HS)); \
-       default: all three."
-    in
-    Arg.(value
-         & opt (some (enum [ ("ULL", Device.Technology.ull);
-                             ("LL", Device.Technology.ll);
-                             ("HS", Device.Technology.hs) ])) None
-         & info [ "tech" ] ~docv:"FLAVOR" ~doc)
-  in
-  let run jobs obs flavor =
+  let run jobs obs call =
     set_jobs jobs;
     let code =
       with_obs obs @@ fun () ->
-      let flavors = Option.map (fun t -> [ t ]) flavor in
-      let rows = Serve.Engine.certify ?flavors () in
+      let rows =
+        match call with
+        | Serve.Protocol.Certify { flavors } -> Serve.Engine.certify flavors
+        | _ -> assert false
+      in
       print (Report.Certify_report.render rows);
       if Report.Certify_report.violations rows > 0 then 1 else 0
     in
@@ -874,7 +892,8 @@ let certify_cmd =
      the numerical optimum against it, and exit non-zero on any violated \
      enclosure."
   in
-  Cmd.v (Cmd.info "certify" ~doc) Term.(const run $ jobs_arg $ obs_arg $ flavor)
+  Cmd.v (Cmd.info "certify" ~doc)
+    Term.(const run $ jobs_arg $ obs_arg $ call_term "certify" [ tech_flag ])
 
 let all_cmd =
   let run jobs obs =
@@ -913,16 +932,15 @@ let profile_store_workload () =
   in
   remove_tree dir;
   let axes =
-    {
-      Power_core.Explorer.bits = 4;
-      families = [ Power_core.Explorer.Booth ];
-      radices = [ 4 ];
-      signednesses = [ Multipliers.Booth.Unsigned ];
-      stages = [ 1 ];
-      copies = [ 1; 2 ];
-      fmults = [ 0.5; 1.0 ];
-      techs = [ Device.Technology.ll ];
-    }
+    match
+      validate ~cmd:"profile" "explore"
+        [ ("bits", int 4); ("families", strs [ "booth" ]);
+          ("radices", ints [ 4 ]); ("stages", ints [ 1 ]);
+          ("copies", ints [ 1; 2 ]); ("fmults", floats [ 0.5; 1.0 ]);
+          ("tech", str "LL") ]
+    with
+    | Serve.Protocol.Explore { axes; _ }, _ -> axes
+    | _ -> assert false
   in
   let pass () =
     match Power_core.Warm.open_store ~path:dir () with
@@ -1033,20 +1051,6 @@ let profile_cmd =
    Serve.Engine paths the service batches, so a reply from the socket is
    bitwise-identical to the corresponding one-shot output. *)
 
-let tech_arg =
-  let doc =
-    "Technology flavor: $(b,ULL), $(b,LL) or $(b,HS) (default $(b,LL))."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("ULL", Device.Technology.ull);
-             ("LL", Device.Technology.ll);
-             ("HS", Device.Technology.hs) ])
-        Device.Technology.ll
-    & info [ "tech" ] ~docv:"FLAVOR" ~doc)
-
 let json_flag =
   let doc = "Print the reply as wire JSON instead of a table." in
   Arg.(value & flag & info [ "json" ] ~doc)
@@ -1058,62 +1062,53 @@ let socket_arg =
     & opt string "/tmp/optpower.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc)
 
+let print_json json = print (Json.to_string json ^ "\n")
+
 let optimum_cmd =
-  let arch =
-    Arg.(
-      value & opt string "RCA"
-      & info [ "arch" ] ~docv:"LABEL" ~doc:"Table 1 architecture label.")
-  in
-  let run obs tech arch json =
+  let run obs call json =
     with_obs obs @@ fun () ->
-    let p : Power_core.Numerical_opt.point = Serve.Engine.optimum ~tech arch in
-    if json then
-      print
-        (Serve.Json.to_string (Serve.Engine.optimum_json ~tech ~arch p) ^ "\n")
+    if json then print_json (Serve.Engine.run_call call)
     else
-      Printf.printf
-        "%s/%s: Vdd=%.3f V  Vth=%.3f V  Pdyn=%.2f uW  Pstat=%.2f uW  \
-         Ptot=%.2f uW\n"
-        (Device.Technology.name tech)
-        arch p.vdd p.vth (p.dynamic *. 1e6) (p.static *. 1e6) (p.total *. 1e6)
+      match call with
+      | Serve.Protocol.Optimum { tech; arch } ->
+        let p = Serve.Engine.optimum ~tech arch in
+        Printf.printf
+          "%s/%s: Vdd=%.3f V  Vth=%.3f V  Pdyn=%.2f uW  Pstat=%.2f uW  \
+           Ptot=%.2f uW\n"
+          (Device.Technology.name tech)
+          arch p.vdd p.vth (p.dynamic *. 1e6) (p.static *. 1e6)
+          (p.total *. 1e6)
+      | _ -> assert false
   in
   let doc = "Solve one architecture's optimal (Vdd*, Vth*) working point." in
   Cmd.v (Cmd.info "optimum" ~doc)
-    Term.(const run $ obs_arg $ tech_arg $ arch $ json_flag)
+    Term.(const run $ obs_arg $ call_term "optimum" [ arch_flag; tech_flag ]
+          $ json_flag)
 
 let rank_cmd =
-  let archs =
-    let doc =
-      "Comma-separated architecture labels (default: the full Table 1 \
-       catalog)."
-    in
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "archs" ] ~docv:"LABEL,..." ~doc)
-  in
-  let run jobs obs tech archs json =
+  let run jobs obs call json =
     set_jobs jobs;
     with_obs obs @@ fun () ->
-    let ranked = Serve.Engine.rank ~tech ?archs () in
-    if json then
-      print (Serve.Json.to_string (Serve.Engine.rank_json ~tech ranked) ^ "\n")
-    else begin
-      Printf.printf "%-4s %-16s %-8s %-8s %-10s\n" "#" "arch" "Vdd" "Vth"
-        "Ptot[uW]";
-      List.iteri
-        (fun i (arch, (p : Power_core.Numerical_opt.point)) ->
-          Printf.printf "%-4d %-16s %-8.3f %-8.3f %-10.2f\n" (i + 1) arch
-            p.vdd p.vth (p.total *. 1e6))
-        ranked
-    end
+    if json then print_json (Serve.Engine.run_call call)
+    else
+      match call with
+      | Serve.Protocol.Rank { tech; archs } ->
+        Printf.printf "%-4s %-16s %-8s %-8s %-10s\n" "#" "arch" "Vdd" "Vth"
+          "Ptot[uW]";
+        List.iteri
+          (fun i (arch, (p : Power_core.Numerical_opt.point)) ->
+            Printf.printf "%-4d %-16s %-8.3f %-8.3f %-10.2f\n" (i + 1) arch
+              p.vdd p.vth (p.total *. 1e6))
+          (Serve.Engine.rank ~tech archs)
+      | _ -> assert false
   in
   let doc =
     "Rank architectures by optimal total power (solved as one warm-start \
      continuation family)."
   in
   Cmd.v (Cmd.info "rank" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ tech_arg $ archs $ json_flag)
+    Term.(const run $ jobs_arg $ obs_arg
+          $ call_term "rank" [ archs_flag; tech_flag ] $ json_flag)
 
 let serve_cmd =
   let queue =
@@ -1255,146 +1250,13 @@ let client_cmd =
           None
       & info [] ~docv:"METHOD" ~doc)
   in
-  let arch =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "arch" ] ~docv:"LABEL"
-          ~doc:"Architecture label (optimum, sweep).")
-  in
-  let tech =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tech" ] ~docv:"FLAVOR"
-          ~doc:
-            "Technology flavor: ULL, LL or HS (certify also accepts \
-             $(b,all)).")
-  in
-  let samples =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "samples" ] ~docv:"N" ~doc:"Sweep sample count.")
-  in
-  let archs =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "archs" ] ~docv:"LABEL,..." ~doc:"Rank architecture subset.")
-  in
-  let only =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "only" ] ~docv:"RULE-ID,..." ~doc:"Lint rule filter.")
-  in
-  let bits =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "bits" ] ~docv:"W" ~doc:"Explore operand width.")
-  in
-  let radices =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "radix" ] ~docv:"R,..." ~doc:"Explore radix axis.")
-  in
-  let stages =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "stages" ] ~docv:"N,..." ~doc:"Explore pipeline-depth axis.")
-  in
-  let copies =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "copies" ] ~docv:"K,..." ~doc:"Explore parallelisation axis.")
-  in
-  let signed =
-    Arg.(value & flag & info [ "signed" ] ~doc:"Explore signed operands.")
-  in
-  let fmults =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "fmult" ] ~docv:"X,..." ~doc:"Explore frequency multiples.")
-  in
-  let no_prune =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ] ~doc:"Explore exhaustively (no pruning).")
-  in
-  let families =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "family" ] ~docv:"F,..."
-          ~doc:"Explore substrate families (booth, dadda, wallace).")
-  in
-  let max_latency =
-    Arg.(
-      value
-      & opt (some pos_float_conv) None
-      & info [ "max-latency" ] ~docv:"D"
-          ~doc:"Explore effective-logic-depth cap.")
-  in
-  let max_area =
-    Arg.(
-      value
-      & opt (some pos_float_conv) None
-      & info [ "max-area" ] ~docv:"CELLS" ~doc:"Explore cell-count cap.")
-  in
-  let run socket meth arch tech samples archs only bits radices stages copies
-      signed fmults no_prune families max_latency max_area =
-    let int_arr l =
-      Serve.Json.Arr (List.map (fun v -> Serve.Json.Num (float_of_int v)) l)
-    in
-    let params =
-      List.filter_map Fun.id
-        [
-          Option.map (fun a -> ("arch", Serve.Json.Str a)) arch;
-          Option.map (fun t -> ("tech", Serve.Json.Str t)) tech;
-          Option.map
-            (fun n -> ("samples", Serve.Json.Num (float_of_int n)))
-            samples;
-          Option.map
-            (fun l ->
-              ("archs", Serve.Json.Arr (List.map (fun s -> Serve.Json.Str s) l)))
-            archs;
-          Option.map
-            (fun l ->
-              ("only", Serve.Json.Arr (List.map (fun s -> Serve.Json.Str s) l)))
-            only;
-          Option.map
-            (fun b -> ("bits", Serve.Json.Num (float_of_int b)))
-            bits;
-          Option.map (fun l -> ("radices", int_arr l)) radices;
-          Option.map (fun l -> ("stages", int_arr l)) stages;
-          Option.map (fun l -> ("copies", int_arr l)) copies;
-          (if signed then Some ("signed", Serve.Json.Bool true) else None);
-          Option.map
-            (fun l ->
-              ("fmults",
-               Serve.Json.Arr (List.map (fun v -> Serve.Json.Num v) l)))
-            fmults;
-          (if no_prune then Some ("prune", Serve.Json.Bool false) else None);
-          Option.map
-            (fun l ->
-              ( "families",
-                Serve.Json.Arr (List.map (fun s -> Serve.Json.Str s) l) ))
-            families;
-          Option.map (fun v -> ("max_latency", Serve.Json.Num v)) max_latency;
-          Option.map (fun v -> ("max_area", Serve.Json.Num v)) max_area;
-        ]
-    in
+  let run socket meth params =
+    let _, params = validate ~cmd:"client" meth params in
     let client = Serve.Client.connect socket in
     let result = Serve.Client.rpc client ~meth params in
     Serve.Client.close client;
     match result with
-    | Ok payload -> print (Serve.Json.to_string payload ^ "\n")
+    | Ok payload -> print_json payload
     | Error (code, msg) ->
       Printf.eprintf "optpower client: %s: %s\n" code msg;
       exit 1
@@ -1404,9 +1266,10 @@ let client_cmd =
      reply payload."
   in
   Cmd.v (Cmd.info "client" ~doc)
-    Term.(const run $ socket_arg $ meth $ arch $ tech $ samples $ archs $ only
-          $ bits $ radices $ stages $ copies $ signed $ fmults $ no_prune
-          $ families $ max_latency $ max_area)
+    Term.(const run $ socket_arg $ meth
+          $ params
+              ([ arch_flag; archs_flag; samples_flag; only_flag ]
+              @ explore_flags))
 
 let main =
   let doc =

@@ -132,11 +132,7 @@ let solve_chain_into ?head ~problem_of ~n ~write () =
     write i pt
   done
 
-(* The list form of one chain. This is exactly the chunk body of
-   [optima_continued]; the serve layer re-batches chunks from several
-   concurrent requests through one pool dispatch by calling it directly,
-   which is why results there are bitwise-identical to a one-shot
-   [optima_continued] per request. *)
+(* The list form of one chain: the chunk body of [optima_continued]. *)
 let solve_chain problems =
   let arr = Array.of_list problems in
   let out = ref [] in

@@ -55,11 +55,6 @@ val optimum_stored : store:Store.t -> Power_law.problem -> point
     and persists the result. Counted by [opt.store_hits] /
     [opt.store_misses]. *)
 
-val continuation_chunk : int
-(** The fixed chunk length (16) {!optima_continued} cuts item lists into.
-    Exposed so the serve layer can re-create the exact same chunking when
-    it coalesces several requests into one pool dispatch. *)
-
 val solve_chain_into :
   ?head:point ->
   problem_of:(int -> Power_law.problem) ->
@@ -74,17 +69,9 @@ val solve_chain_into :
     (else it solves cold via {!optimum}). Each result is passed to
     [write i point] as soon as it is available — nothing is retained, so
     the caller can stream into flat arrays or sketches without per-die
-    allocation. This is the one chain loop: {!solve_chain},
-    {!optima_continued} and {!Variation.yield_mc}'s per-chunk solver all
-    run on it. It does not touch the pool, letting the caller own the
-    parallel decomposition. *)
-
-val solve_chain : Power_law.problem list -> point list
-(** {!solve_chain_into} over a list, without [head]: the head solves cold,
-    every successor warm-starts from its predecessor. [optima_continued]
-    is exactly [solve_chain] applied to each fixed-size chunk through the
-    pool; callers that own their parallel decomposition (the serve
-    batcher) use this directly. *)
+    allocation. This is the one chain loop: {!optima_continued} and
+    {!Variation.yield_mc}'s per-chunk solver both run on it. It does not
+    touch the pool, letting the caller own the parallel decomposition. *)
 
 val optima_continued :
   ?pool:Parallel.Pool.t ->
@@ -93,12 +80,12 @@ val optima_continued :
   point list
 (** Continuation solve of a family of related problems (a Vdd or frequency
     sweep, a technology ladder, Monte-Carlo dies): the items are cut into
-    contiguous chunks of {!continuation_chunk} mapped through
-    {!Parallel.Pool} ([pool] defaults to the shared process-wide pool),
-    and each chunk is one {!solve_chain}. Results are returned in item
-    order. The chunk size is a constant independent of the pool size, so
-    the warm chains — and every floating-point bit of the result — are
-    identical at any [-j]. [problem_of] must be pure (it may run on any
+    contiguous chunks of 16 mapped through {!Parallel.Pool} ([pool]
+    defaults to the shared process-wide pool), and each chunk is one
+    {!solve_chain_into} chain whose head solves cold. Results are returned
+    in item order. The chunk size is a constant independent of the pool
+    size, so the warm chains — and every floating-point bit of the
+    result — are identical at any [-j]. [problem_of] must be pure (it may run on any
     pool domain). *)
 
 val optimum_grid2 :

@@ -8,45 +8,29 @@
     floats with full round-trip precision, so two encodings are equal iff
     the underlying float64 bits are. *)
 
-val problem_of_label :
-  Device.Technology.t -> string -> Power_core.Power_law.problem
-(** Calibrated problem for a Table 1 label on a flavor (memoized
-    process-wide by {!Power_core.Calibration}). @raise Not_found on an
-    unknown label — callers validate via {!Protocol}. *)
-
 val optimum :
-  ?tech:Device.Technology.t -> string -> Power_core.Numerical_opt.point
+  tech:Device.Technology.t -> string -> Power_core.Numerical_opt.point
 (** Cold seeded solve of one architecture's optimal working point —
-    exactly what the table drivers run per row. Default tech: LL. *)
+    exactly what the table drivers run per row. *)
 
 val sweep :
   ?pool:Parallel.Pool.t ->
-  ?tech:Device.Technology.t ->
-  ?samples:int ->
-  ?vdd_lo:float ->
-  ?vdd_hi:float ->
+  tech:Device.Technology.t ->
+  samples:int ->
+  vdd_lo:float ->
+  vdd_hi:float ->
   string ->
   Power_core.Numerical_opt.point list
-(** The [optpower sweep] body: Ptot(Vdd) locus for one architecture.
-    Defaults match the CLI (25 samples, 0.25–1.2 V). *)
-
-val rank_sort :
-  (string * Power_core.Numerical_opt.point) list ->
-  (string * Power_core.Numerical_opt.point) list
-(** Stable sort by ascending optimal Ptot — the ordering step of {!rank},
-    exposed so the batched session can rebuild a rank reply from chunk
-    results. *)
+(** The [optpower sweep] body: Ptot(Vdd) locus for one architecture. *)
 
 val rank :
   ?pool:Parallel.Pool.t ->
-  ?tech:Device.Technology.t ->
-  ?archs:string list ->
-  unit ->
+  tech:Device.Technology.t ->
+  string list ->
   (string * Power_core.Numerical_opt.point) list
-(** Solve the given architectures (default: the full Table 1 catalog) as
-    one warm-start continuation family ({!Power_core.Numerical_opt.optima_continued})
-    and return them sorted by ascending optimal Ptot (ties keep catalog
-    order). *)
+(** Solve the given architectures as one warm-start continuation family
+    ({!Power_core.Numerical_opt.optima_continued}) and return them sorted
+    by ascending optimal Ptot (ties keep the given order). *)
 
 val lint :
   ?pool:Parallel.Pool.t -> ?only:string list -> unit ->
@@ -56,55 +40,22 @@ val lint :
 
 val certify :
   ?pool:Parallel.Pool.t ->
-  ?flavors:Device.Technology.t list ->
-  unit ->
+  Device.Technology.t list ->
   Report.Certify_report.row list
 (** The [optpower certify] body. *)
 
-val explore :
-  ?pool:Parallel.Pool.t ->
-  ?prune:bool ->
-  ?store:Store.t ->
-  ?max_latency:float ->
-  ?max_area:float ->
-  Power_core.Explorer.axes ->
-  Power_core.Explorer.result
-(** The [optpower explore] body — {!Power_core.Explorer.explore}, with
-    the warm store and constraint caps threaded through. *)
-
-(** {1 Wire encodings}
-
-    Shared by the serve handlers, the CLI [client] printer and the
-    equivalence tests. *)
-
-val point_json : Power_core.Numerical_opt.point -> Json.t
-
-val optimum_json :
-  tech:Device.Technology.t -> arch:string ->
-  Power_core.Numerical_opt.point -> Json.t
-
-val sweep_json :
-  tech:Device.Technology.t -> arch:string ->
-  Power_core.Numerical_opt.point list -> Json.t
-
-val rank_json :
-  tech:Device.Technology.t ->
-  (string * Power_core.Numerical_opt.point) list -> Json.t
-
-val lint_json : Analysis.Engine.report -> Json.t
-(** The {!Analysis.Render.json} document re-read into wire JSON, wrapped
-    with the exit code. *)
-
-val certify_json : Report.Certify_report.row list -> Json.t
-
-val explore_json : Power_core.Explorer.result -> Json.t
-(** Pareto fronts per slice plus the prune funnel totals. *)
+(** {1 Wire encodings} *)
 
 val store_stats_json : Store.t option -> Json.t
 (** Warm-store statistics payload; [None] encodes [{"enabled": false}]. *)
 
 val run_call : ?pool:Parallel.Pool.t -> ?store:Store.t -> Protocol.call -> Json.t
-(** One-shot execution of a validated call: dispatch to the function above
-    and encode the reply payload. This is the reference the batched
-    session must match bitwise — with the same [store] state, a warm
-    reply replays the exact bits a cold solve would produce. *)
+(** Execution of a validated call: dispatch to the functions above (or
+    {!Power_core.Explorer.explore} for [explore]) and encode the reply
+    payload — for [explore], the Pareto fronts per slice plus the prune
+    funnel totals; for [lint], the {!Analysis.Render.json} document
+    wrapped with the exit code. This is the one dispatch: the CLI's
+    [--json] output and every work unit of the batched {!Session} run it,
+    so batched replies equal one-shot replies by construction. With the
+    same [store] state, a warm reply replays the exact bits a cold solve
+    would produce. *)

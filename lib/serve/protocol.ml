@@ -27,14 +27,7 @@ type call =
   | Lint of { only : string list option }
   | Certify of { flavors : Device.Technology.t list }
   | Explore of {
-      bits : int;
-      families : Power_core.Explorer.family list;
-      radices : int list;
-      stages : int list;
-      copies : int list;
-      signed : bool;
-      fmults : float list;
-      techs : Device.Technology.t list;
+      axes : Power_core.Explorer.axes;
       prune : bool;
       max_latency : float option;
       max_area : float option;
@@ -56,8 +49,8 @@ let method_name = function
   | Explore _ -> "explore"
   | Store_stats -> "store_stats"
 
-(* Validation helpers: every failure raises [Invalid Params] with a
-   message; [parse_frame] catches and turns it into the error triple. *)
+(* Validation helpers: every failure raises [Invalid] with a message;
+   [parse_call] and [parse_frame] turn it into their error results. *)
 
 exception Invalid of error_code * string
 
@@ -68,10 +61,14 @@ let catalog_labels =
     (fun (r : Power_core.Paper_data.table1_row) -> r.label)
     Power_core.Paper_data.table1
 
+let check_label label =
+  if not (List.mem label catalog_labels) then
+    invalid "unknown architecture %S (see Table 1 labels)" label
+
 let arch_of_json = function
   | Some (Json.Str label) ->
-    if List.mem label catalog_labels then label
-    else invalid "unknown architecture %S (see Table 1 labels)" label
+    check_label label;
+    label
   | Some _ -> invalid "\"arch\" must be a string"
   | None -> invalid "missing required parameter \"arch\""
 
@@ -86,19 +83,28 @@ let tech_of_json = function
   | Some (Json.Str s) -> tech_of_string s
   | Some _ -> invalid "\"tech\" must be a string"
 
+(* [certify] and [explore] take one flavor or "all" (the default). *)
+let flavors_of_json = function
+  | None | Some (Json.Str "all") -> Device.Technology.all
+  | Some (Json.Str s) -> [ tech_of_string s ]
+  | Some _ -> invalid "\"tech\" must be a string"
+
 let finite_number name = function
   | Json.Num v when Float.is_finite v -> v
   | Json.Num _ -> invalid "%S must be finite" name
   | _ -> invalid "%S must be a number" name
 
-let int_param name ~default ~min ~max params =
+(* Exact integers only, and small enough to convert without wrapping. *)
+let int_at_least min v =
+  Float.is_integer v && v >= float_of_int min && v < 0x1p62
+
+let int_param name ~default ~min params =
   match Json.member name params with
   | None -> default
   | Some j ->
     let v = finite_number name j in
-    if Float.is_integer v && v >= float_of_int min && v <= float_of_int max
-    then int_of_float v
-    else invalid "%S must be an integer in [%d, %d]" name min max
+    if int_at_least min v then int_of_float v
+    else invalid "%S must be an integer >= %d" name min
 
 let float_param name ~default params =
   match Json.member name params with
@@ -130,15 +136,74 @@ let num_axis name ~default params =
     List.map (finite_number name) items
   | Some _ -> invalid "%S must be a number or an array of numbers" name
 
-let int_axis name ~default ~min ~max params =
+let int_axis name ~default ~min params =
   List.map
     (fun v ->
-      if Float.is_integer v && v >= float_of_int min && v <= float_of_int max
-      then int_of_float v
-      else invalid "%S entries must be integers in [%d, %d]" name min max)
+      if int_at_least min v then int_of_float v
+      else invalid "%S entries must be integers >= %d" name min)
     (num_axis name ~default:(List.map float_of_int default) params)
 
-let parse_call meth params =
+(* Constraint caps: absent = unconstrained; present must be a finite
+   strictly positive number (NaN and negatives are invalid-params). *)
+let cap_param name params =
+  match Json.member name params with
+  | None -> None
+  | Some j ->
+    let v = finite_number name j in
+    if v > 0.0 then Some v else invalid "%S must be > 0" name
+
+let family_of_name s =
+  match Power_core.Explorer.family_of_string s with
+  | Some f -> f
+  | None -> invalid "unknown family %S (expected booth, dadda or wallace)" s
+
+let explore_axes params =
+  let bits = int_param "bits" ~default:8 ~min:4 params in
+  if bits mod 2 <> 0 then invalid "\"bits\" must be even";
+  let families =
+    match Json.member "families" params with
+    | None ->
+      [ Power_core.Explorer.Booth; Power_core.Explorer.Dadda;
+        Power_core.Explorer.Wallace ]
+    | Some (Json.Str s) -> [ family_of_name s ]
+    | Some (Json.Arr _ as j) ->
+      let names = string_list "families" j in
+      if names = [] then invalid "\"families\" must not be empty";
+      List.map family_of_name names
+    | Some _ -> invalid "\"families\" must be a string or array of strings"
+  in
+  let radices = int_axis "radices" ~default:[ 2; 4; 8 ] ~min:2 params in
+  List.iter
+    (fun r ->
+      if r <> 2 && r <> 4 && r <> 8 then
+        invalid "\"radices\" entries must be 2, 4 or 8")
+    radices;
+  let signed = bool_param "signed" ~default:false params in
+  let fmults = num_axis "fmults" ~default:[ 0.5; 1.0; 2.0; 4.0 ] params in
+  List.iter
+    (fun m -> if not (m > 0.0) then invalid "\"fmults\" entries must be > 0")
+    fmults;
+  let axes =
+    {
+      Power_core.Explorer.bits;
+      families;
+      radices;
+      signednesses =
+        [ (if signed then Multipliers.Booth.Signed
+           else Multipliers.Booth.Unsigned) ];
+      stages = int_axis "stages" ~default:[ 1; 2; 3 ] ~min:1 params;
+      copies = int_axis "copies" ~default:[ 1; 2; 4 ] ~min:1 params;
+      fmults;
+      techs = flavors_of_json (Json.member "tech" params);
+    }
+  in
+  if Power_core.Explorer.space_size axes = 0 then
+    invalid
+      "axes enumerate no candidates (no family/radix/stages combo \
+       validates)";
+  axes
+
+let call_of meth params =
   match meth with
   | "optimum" ->
     Optimum
@@ -147,9 +212,7 @@ let parse_call meth params =
         arch = arch_of_json (Json.member "arch" params);
       }
   | "sweep" ->
-    let samples =
-      int_param "samples" ~default:25 ~min:2 ~max:max_sweep_samples params
-    in
+    let samples = int_param "samples" ~default:25 ~min:2 params in
     let vdd_lo = float_param "vdd_lo" ~default:0.25 params in
     let vdd_hi = float_param "vdd_hi" ~default:1.2 params in
     if not (vdd_lo > 0.0 && vdd_hi > vdd_lo && vdd_hi <= 20.0) then
@@ -169,11 +232,7 @@ let parse_call meth params =
       | Some j ->
         let archs = string_list "archs" j in
         if archs = [] then invalid "\"archs\" must not be empty";
-        List.iter
-          (fun a ->
-            if not (List.mem a catalog_labels) then
-              invalid "unknown architecture %S (see Table 1 labels)" a)
-          archs;
+        List.iter check_label archs;
         archs
     in
     Rank { tech = tech_of_json (Json.member "tech" params); archs }
@@ -194,93 +253,48 @@ let parse_call meth params =
     in
     Lint { only }
   | "certify" ->
-    let flavors =
-      match Json.member "tech" params with
-      | None -> Device.Technology.all
-      | Some (Json.Str "all") -> Device.Technology.all
-      | Some (Json.Str s) -> [ tech_of_string s ]
-      | Some _ -> invalid "\"tech\" must be a string"
-    in
-    Certify { flavors }
+    Certify { flavors = flavors_of_json (Json.member "tech" params) }
   | "explore" ->
-    let bits = int_param "bits" ~default:8 ~min:4 ~max:16 params in
-    if bits mod 2 <> 0 then invalid "\"bits\" must be even";
-    let radices = int_axis "radices" ~default:[ 2; 4; 8 ] ~min:2 ~max:8 params in
-    List.iter
-      (fun r ->
-        if r <> 2 && r <> 4 && r <> 8 then
-          invalid "\"radices\" entries must be 2, 4 or 8")
-      radices;
-    let stages = int_axis "stages" ~default:[ 1; 2; 3 ] ~min:1 ~max:16 params in
-    let copies = int_axis "copies" ~default:[ 1; 2; 4 ] ~min:1 ~max:64 params in
-    let signed = bool_param "signed" ~default:false params in
-    let fmults =
-      num_axis "fmults" ~default:[ 0.5; 1.0; 2.0; 4.0 ] params
-    in
-    List.iter
-      (fun m -> if not (m > 0.0) then invalid "\"fmults\" entries must be > 0")
-      fmults;
-    let techs =
-      match Json.member "tech" params with
-      | None -> Device.Technology.all
-      | Some (Json.Str "all") -> Device.Technology.all
-      | Some (Json.Str s) -> [ tech_of_string s ]
-      | Some _ -> invalid "\"tech\" must be a string"
-    in
-    let prune = bool_param "prune" ~default:true params in
-    let family_of_name s =
-      match Power_core.Explorer.family_of_string s with
-      | Some f -> f
-      | None ->
-        invalid "unknown family %S (expected booth, dadda or wallace)" s
-    in
-    let families =
-      match Json.member "families" params with
-      | None ->
-        [ Power_core.Explorer.Booth; Power_core.Explorer.Dadda;
-          Power_core.Explorer.Wallace ]
-      | Some (Json.Str s) -> [ family_of_name s ]
-      | Some (Json.Arr _ as j) ->
-        let names = string_list "families" j in
-        if names = [] then invalid "\"families\" must not be empty";
-        List.map family_of_name names
-      | Some _ -> invalid "\"families\" must be a string or array of strings"
-    in
-    (* Constraint caps: absent = unconstrained; present must be a finite
-       strictly positive number (NaN and negatives are invalid-params). *)
-    let cap_param name =
-      match Json.member name params with
-      | None -> None
-      | Some j ->
-        let v = finite_number name j in
-        if v > 0.0 then Some v else invalid "%S must be > 0" name
-    in
-    let max_latency = cap_param "max_latency" in
-    let max_area = cap_param "max_area" in
-    let axes =
-      {
-        Power_core.Explorer.bits;
-        families;
-        radices;
-        signednesses =
-          [ (if signed then Multipliers.Booth.Signed else Multipliers.Booth.Unsigned) ];
-        stages;
-        copies;
-        fmults;
-        techs;
-      }
-    in
-    let size = Power_core.Explorer.space_size axes in
-    if size = 0 then
-      invalid "axes enumerate no candidates (no family/radix/stages combo validates)";
-    if size > max_explore_candidates then
-      invalid "axes enumerate %d candidates (cap %d); narrow an axis" size
-        max_explore_candidates;
     Explore
-      { bits; families; radices; stages; copies; signed; fmults; techs;
-        prune; max_latency; max_area }
+      {
+        axes = explore_axes params;
+        prune = bool_param "prune" ~default:true params;
+        max_latency = cap_param "max_latency" params;
+        max_area = cap_param "max_area" params;
+      }
   | "store_stats" -> Store_stats
   | m -> raise (Invalid (Unknown_method, Printf.sprintf "unknown method %S" m))
+
+(* Service-side caps: they bound what one request may cost a resident
+   server, not what the engine can do, so only [parse_frame] applies
+   them. *)
+let max_explore_bits = 16
+let max_explore_stages = 16
+let max_explore_copies = 64
+
+let check_limits = function
+  | Sweep { samples; _ } ->
+    if samples > max_sweep_samples then
+      invalid "\"samples\" must be <= %d" max_sweep_samples
+  | Explore { axes; _ } ->
+    if axes.bits > max_explore_bits then
+      invalid "\"bits\" must be <= %d" max_explore_bits;
+    if List.exists (fun s -> s > max_explore_stages) axes.stages then
+      invalid "\"stages\" entries must be <= %d" max_explore_stages;
+    if List.exists (fun c -> c > max_explore_copies) axes.copies then
+      invalid "\"copies\" entries must be <= %d" max_explore_copies;
+    let size = Power_core.Explorer.space_size axes in
+    if size > max_explore_candidates then
+      invalid "axes enumerate %d candidates (cap %d); narrow an axis" size
+        max_explore_candidates
+  | _ -> ()
+
+let validated f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid (code, msg) -> Error (code, msg)
+
+let parse_call meth params = validated (fun () -> call_of meth params)
 
 let parse_frame line =
   if String.length line > max_frame_bytes then
@@ -302,9 +316,14 @@ let parse_frame line =
           in
           (match params with
           | Json.Obj _ -> (
-            match parse_call meth params with
-            | call -> Ok { id; call }
-            | exception Invalid (code, msg) -> Error (id, code, msg))
+            match
+              validated (fun () ->
+                  let call = call_of meth params in
+                  check_limits call;
+                  call)
+            with
+            | Ok call -> Ok { id; call }
+            | Error (code, msg) -> Error (id, code, msg))
           | _ -> Error (id, Params, "\"params\" must be an object"))
         | Some _ -> Error (id, Parse, "\"method\" must be a string")
         | None -> Error (id, Parse, "missing \"method\""))

@@ -11,9 +11,15 @@
     v}
 
     Every malformed frame yields a {e structured error reply} with a
-    stable [code]; the session is never crashed or wedged by input. The
-    parsed {!call} carries fully validated, defaulted parameters, so
-    everything past this layer is total. *)
+    stable [code]; the session is never crashed or wedged by input.
+
+    Validation has two layers. {!parse_call} holds the {e validity}
+    rules — everything whose failure would crash or mislead the engine —
+    and is shared by the wire and the one-shot CLI, so argument checking
+    exists once. {!parse_frame} adds framing, JSON parsing and the
+    service {e limits} that only protect a resident server. The parsed
+    {!call} carries fully validated, defaulted parameters, so everything
+    past this layer is total. *)
 
 type error_code =
   | Parse  (** Frame is not valid JSON, or not a request object. *)
@@ -47,25 +53,22 @@ type call =
   | Certify of { flavors : Device.Technology.t list }
       (** Defaults to all three flavors. *)
   | Explore of {
-      bits : int;  (** Even, in [4, 16]; default 8. *)
-      families : Power_core.Explorer.family list;
-          (** From ["families"]: a name or array of names among
-              ["booth"], ["dadda"], ["wallace"]; default all three. *)
-      radices : int list;  (** Subset of {2, 4, 8}; default all three. *)
-      stages : int list;  (** Default [1; 2; 3]. *)
-      copies : int list;  (** Default [1; 2; 4]. *)
-      signed : bool;  (** Default false (unsigned operands). *)
-      fmults : float list;  (** Default [0.5; 1; 2; 4], all > 0. *)
-      techs : Device.Technology.t list;
-          (** From ["tech"]: a single flavor or ["all"] (the default). *)
+      axes : Power_core.Explorer.axes;
+          (** From ["bits"] (even, >= 4; default 8), ["families"] (a name
+              or array of names among ["booth"], ["dadda"], ["wallace"];
+              default all three), ["radices"] (subset of {2, 4, 8};
+              default all three), ["stages"] (>= 1; default [1; 2; 3]),
+              ["copies"] (>= 1; default [1; 2; 4]), ["signed"] (default
+              false), ["fmults"] (all > 0; default [0.5; 1; 2; 4]) and
+              ["tech"] (a single flavor or ["all"], the default). The
+              axes must enumerate at least one candidate. *)
       prune : bool;  (** Default true; [false] forces exhaustive solves. *)
       max_latency : float option;
           (** Optional effective-logical-depth cap; must be finite > 0
               (NaN and negatives are [invalid-params]). *)
       max_area : float option;  (** Optional cell-count cap; same rules. *)
     }
-      (** Design-space exploration ({!Power_core.Explorer.explore});
-          the axes may enumerate at most {!max_explore_candidates}. *)
+      (** Design-space exploration ({!Power_core.Explorer.explore}). *)
   | Store_stats
       (** Warm-store statistics of the serving process (entries, hit and
           put counts, mode, fingerprint); no parameters. *)
@@ -77,17 +80,29 @@ val max_frame_bytes : int
 (** Longest accepted request frame (bytes, newline excluded): 65536. *)
 
 val max_sweep_samples : int
-(** Upper bound on [sweep.samples] (16384) — a service-side sanity cap. *)
+(** Upper bound on [sweep.samples] (16384) — a service limit. *)
 
 val max_explore_candidates : int
 (** Upper bound on the candidate count an [explore] request's axes may
-    enumerate (4096) — a service-side sanity cap. *)
+    enumerate (4096) — a service limit, like the caps on [bits] (16),
+    [stages] entries (16) and [copies] entries (64). *)
+
+val parse_call : string -> Json.t -> (call, error_code * string) result
+(** [parse_call meth params] validates one request body against the
+    validity rules and bakes in the defaults: known arch, tech, rule and
+    family names; finite numbers; even [bits >= 4]; radices in
+    {2, 4, 8}; [stages >= 1]; [copies >= 1]; [fmults > 0]; positive caps;
+    a non-empty candidate space. Service limits are {e not} applied.
+    Errors are [Unknown_method] or [Params]. *)
 
 val parse_frame :
   string -> (request, Json.t * error_code * string) result
-(** Parse and validate one frame. The error carries the request id when
-    one could be recovered from the malformed frame (so the client can
-    still correlate), [Null] otherwise. *)
+(** Parse and validate one frame: framing and JSON, then {!parse_call},
+    then the service limits ({!max_frame_bytes}, {!max_sweep_samples},
+    {!max_explore_candidates} and the explore axis caps). The error
+    carries the request id when one could be recovered from the
+    malformed frame (so the client can still correlate), [Null]
+    otherwise. *)
 
 val method_name : call -> string
 

@@ -95,7 +95,8 @@ type listener = {
   path : string;
   mutable accept_thread : Thread.t option;
   mutex : Mutex.t;
-  mutable conns : Thread.t list;
+  idle : Condition.t;  (* signalled when [live] drops to 0 *)
+  mutable live : int;  (* connection handlers still running *)
   mutable stopping : bool;
 }
 
@@ -110,14 +111,11 @@ let finish l =
      in-flight connection finish, then drain the session and remove the
      socket file. *)
   (try Unix.close l.lfd with Unix.Unix_error _ -> ());
-  let conns =
-    Mutex.lock l.mutex;
-    let c = l.conns in
-    l.conns <- [];
-    Mutex.unlock l.mutex;
-    c
-  in
-  List.iter Thread.join conns;
+  Mutex.lock l.mutex;
+  while l.live > 0 do
+    Condition.wait l.idle l.mutex
+  done;
+  Mutex.unlock l.mutex;
   Session.shutdown l.session;
   (try Unix.unlink l.path with Unix.Unix_error _ -> ())
 
@@ -134,10 +132,21 @@ let rec accept_loop l =
       end
       else begin
         Obs.Counter.incr c_connections;
-        let th = Thread.create (fun () -> handle_connection l.session fd) () in
+        (* Counted before the handler starts, so [finish] cannot miss it;
+           a finished handler leaves nothing behind but the decrement. *)
         Mutex.lock l.mutex;
-        l.conns <- th :: l.conns;
+        l.live <- l.live + 1;
         Mutex.unlock l.mutex;
+        let serve () =
+          Fun.protect
+            (fun () -> handle_connection l.session fd)
+            ~finally:(fun () ->
+              Mutex.lock l.mutex;
+              l.live <- l.live - 1;
+              if l.live = 0 then Condition.broadcast l.idle;
+              Mutex.unlock l.mutex)
+        in
+        ignore (Thread.create serve ());
         accept_loop l
       end
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop l
@@ -181,7 +190,8 @@ let listen_unix ?(backlog = 64) session ~path =
       path;
       accept_thread = None;
       mutex = Mutex.create ();
-      conns = [];
+      idle = Condition.create ();
+      live = 0;
       stopping = false;
     }
   in
@@ -208,3 +218,9 @@ let stop l =
   end
 
 let wait l = Option.iter Thread.join l.accept_thread
+
+let live_connections l =
+  Mutex.lock l.mutex;
+  let n = l.live in
+  Mutex.unlock l.mutex;
+  n

@@ -27,10 +27,15 @@ val listen_unix : ?backlog:int -> Session.t -> path:string -> listener
 
 val stop : listener -> unit
 (** Ask the listener to shut down: stop accepting. The accept thread then
-    joins every connection handler, drains the session ({!Session.shutdown})
-    and unlinks the socket file. Returns immediately; {!wait} observes
-    completion. Idempotent. *)
+    waits until {!live_connections} is 0, drains the session
+    ({!Session.shutdown}) and unlinks the socket file. Returns
+    immediately; {!wait} observes completion. Idempotent. *)
 
 val wait : listener -> unit
 (** Block until the listener has fully shut down (after {!stop}, or after
     a fatal accept error). *)
+
+val live_connections : listener -> int
+(** Connection handlers still running. A handler leaves this count when
+    its peer hangs up, so nothing a finished connection held outlives it;
+    exposed for drain assertions. *)

@@ -9,15 +9,16 @@
     dispatcher, which drains up to [max_batch] requests per cycle and runs
     {e all} of their work units through one {!Parallel.Pool.map} dispatch.
 
-    {b Bitwise equality.} A request's work units are a pure function of
-    that request alone — an [optimum] is one cold chain of length 1, a
-    [rank] contributes exactly the {!Power_core.Numerical_opt.solve_chain}
-    chunks its own one-shot [optima_continued] would build, and [sweep] /
-    [lint] / [certify] run as single units calling the same {!Engine}
-    functions on the session pool. Co-batched requests share only the pool
-    dispatch, never a warm-start chain, so every reply is bitwise-identical
-    to {!Engine.run_call} on an idle process, whatever the batch
-    composition or pool size.
+    {b Bitwise equality.} Every request is one work unit running
+    {!Engine.run_call} on the session pool — the same dispatch a one-shot
+    call runs, with nested pool work ([rank]'s continuation chunks,
+    [sweep], [lint], [certify], [explore]) re-entering the pool the way it
+    does on an idle process. Co-batched requests share only the pool
+    dispatch, never a warm-start chain, so every reply is
+    bitwise-identical to {!Engine.run_call} whatever the batch
+    composition or pool size. [store_stats] is the one exception to the
+    unit rule: it is assembled after the batch's work so its counters
+    include it.
 
     {b Backpressure.} {!submit} blocks while the queue holds
     [queue_capacity] requests — overload slows clients down; nothing is

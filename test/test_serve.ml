@@ -61,9 +61,9 @@ let rec wait_for ?(tries = 500) msg pred =
     wait_for ~tries:(tries - 1) msg pred
   end
 
-(* The client script: all five request kinds, including a defaulted and an
-   explicit-parameter variant and a >1-chunk rank (17 archs vs the chunk
-   size of 16). *)
+(* The client script: every request method, including a defaulted and an
+   explicit-parameter variant, a >1-chunk rank (17 archs vs the chunk
+   size of 16) and a small explore. *)
 let script =
   [
     ("optimum", [ ("arch", Json.Str "RCA") ]);
@@ -80,6 +80,13 @@ let script =
     ("rank", []);
     ("lint", [ ("only", Json.Arr [ Json.Str "model.finite" ]) ]);
     ("certify", [ ("tech", Json.Str "LL") ]);
+    ( "explore",
+      [
+        ("bits", Json.Num 4.0);
+        ("families", Json.Str "wallace");
+        ("fmults", Json.Arr [ Json.Num 1.0 ]);
+      ] );
+    ("store_stats", []);
   ]
 
 let check_json msg expected actual =
@@ -304,7 +311,7 @@ let test_explore_params () =
   (match call_of "explore" [ ("families", Json.Str "dadda") ] with
   | Protocol.Explore e ->
     Alcotest.(check bool) "single family string" true
-      (e.families = [ Power_core.Explorer.Dadda ]);
+      (e.axes.families = [ Power_core.Explorer.Dadda ]);
     Alcotest.(check bool) "caps default to none" true
       (e.max_latency = None && e.max_area = None)
   | _ -> Alcotest.fail "not an explore call");
@@ -318,7 +325,8 @@ let test_explore_params () =
    with
   | Protocol.Explore e ->
     Alcotest.(check bool) "family list" true
-      (e.families = [ Power_core.Explorer.Booth; Power_core.Explorer.Wallace ]);
+      (e.axes.families
+      = [ Power_core.Explorer.Booth; Power_core.Explorer.Wallace ]);
     Alcotest.(check bool) "caps carried" true
       (e.max_latency = Some 12.5 && e.max_area = Some 4000.0)
   | _ -> Alcotest.fail "not an explore call");
@@ -328,6 +336,32 @@ let test_explore_params () =
     | Error (_, Protocol.Params, _) -> true
     | Ok _ | Error _ -> false
   in
+  (* Validity rules live in [parse_call], shared with the CLI; service
+     limits only in [parse_frame]. *)
+  let valid_call params =
+    match Protocol.parse_call "explore" (Json.Obj params) with
+    | Ok (Protocol.Explore _) -> true
+    | Ok _ | Error _ -> false
+  in
+  let invalid_call params =
+    match Protocol.parse_call "explore" (Json.Obj params) with
+    | Error (Protocol.Params, _) -> true
+    | Ok _ | Error _ -> false
+  in
+  Alcotest.(check bool) "18 bits is a valid call" true
+    (valid_call [ ("bits", Json.Num 18.0) ]);
+  Alcotest.(check bool) "18 bits exceeds the service limit" true
+    (invalid [ ("bits", Json.Num 18.0) ]);
+  Alcotest.(check bool) "odd bits" true
+    (invalid_call [ ("bits", Json.Num 5.0) ]);
+  Alcotest.(check bool) "radix 3, booth only" true
+    (invalid_call
+       [
+         ("families", Json.Str "booth");
+         ("radices", Json.Arr [ Json.Num 3.0 ]);
+       ]);
+  Alcotest.(check bool) "zero stages" true
+    (invalid_call [ ("stages", Json.Arr [ Json.Num 0.0 ]) ]);
   Alcotest.(check bool) "unknown family" true
     (invalid [ ("families", Json.Str "csa") ]);
   Alcotest.(check bool) "empty family list" true
@@ -389,9 +423,8 @@ let test_store_stats () =
   (match Json.member "enabled" before with
   | Some (Json.Bool true) -> ()
   | _ -> Alcotest.fail "store-backed session must report enabled:true");
-  let solved =
-    Session.submit session (call_of "optimum" [ ("arch", Json.Str "RCA") ])
-  in
+  ignore
+    (Session.submit session (call_of "optimum" [ ("arch", Json.Str "RCA") ]));
   let after = stats () in
   Alcotest.(check bool) "the solve wrote through to the store" true
     (num "puts" after > num "puts" before);
@@ -399,15 +432,41 @@ let test_store_stats () =
      cached the second reply would be a frozen copy of the first. *)
   Alcotest.(check bool) "stats are never memoised" true
     (num "entries" after >= num "entries" before
-    && not (Json.equal before after));
-  (* A warm replay through the same store (one-shot path, no session
-     memo involved) answers bitwise-identically to the cold solve. *)
-  Option.iter
-    (fun st ->
-      check_json "warm replay = cold solve" solved
-        (Engine.run_call ~store:st
-           (call_of "optimum" [ ("arch", Json.Str "RCA") ])))
-    store
+    && not (Json.equal before after))
+
+(* A store-backed session answers exactly like the one-shot path over the
+   same store, in both directions (session miss then one-shot hit, and
+   one-shot miss then session hit), and like a cold solve. *)
+let test_store_backed_optimum () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "optpower-test-serve-warm.%d" (Unix.getpid ()))
+  in
+  remove_tree dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let rca = call_of "optimum" [ ("arch", Json.Str "RCA") ] in
+  let wallace =
+    call_of "optimum" [ ("arch", Json.Str "Wallace"); ("tech", Json.Str "HS") ]
+  in
+  let cold_rca = Engine.run_call rca in
+  let cold_wallace = Engine.run_call wallace in
+  let store = Power_core.Warm.open_store ~path:dir () in
+  let st =
+    match store with
+    | Some st -> st
+    | None -> Alcotest.fail "cannot open the test store"
+  in
+  with_session
+    { Session.default_config with jobs = Some 2; cache = false; store }
+  @@ fun session ->
+  let served_rca = Session.submit session rca in
+  check_json "session (miss) = cold" cold_rca served_rca;
+  check_json "one-shot (hit) = session" served_rca
+    (Engine.run_call ~store:st rca);
+  let oneshot_wallace = Engine.run_call ~store:st wallace in
+  check_json "one-shot (miss) = cold" cold_wallace oneshot_wallace;
+  check_json "session (hit) = one-shot" oneshot_wallace
+    (Session.submit session wallace)
 
 (* Wire JSON round-trips: 200 seeded random documents must survive
    print -> parse with every float64 bit intact. *)
@@ -621,6 +680,30 @@ let test_hangup_mid_reply () =
       let c = Client.connect path in
       Fun.protect ~finally:(fun () -> Client.close c) (fun () -> expect_alive c))
 
+(* Finished connections are reaped: after 1000 connect/frame/close cycles
+   the listener counts no live handler, and stop + wait return. *)
+let test_connection_reaping () =
+  with_session adversary_config @@ fun session ->
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "optpower-reap-%d.sock" (Unix.getpid ()))
+  in
+  let l = Server.listen_unix session ~path in
+  for id = 1 to 1000 do
+    let c = Client.connect path in
+    Client.send_line c
+      (Json.to_string (frame_of ~id "optimum" [ ("arch", Json.Str "RCA") ]));
+    if Client.recv_line c = None then Alcotest.failf "cycle %d: no reply" id;
+    Client.close c
+  done;
+  wait_for "every handler to finish" (fun () ->
+      Server.live_connections l = 0);
+  Server.stop l;
+  Server.wait l;
+  Alcotest.(check int) "no live handler after drain" 0
+    (Server.live_connections l)
+
 let () =
   Alcotest.run "serve"
     [
@@ -634,6 +717,8 @@ let () =
             test_fifo_pipelined;
           Alcotest.test_case "cross-request batch coalescing" `Quick
             test_batch_coalescing;
+          Alcotest.test_case "store-backed optimum" `Quick
+            test_store_backed_optimum;
         ] );
       ( "session",
         [
@@ -657,5 +742,7 @@ let () =
             test_truncated_frame;
           Alcotest.test_case "hang-up mid-reply keeps serving" `Quick
             test_hangup_mid_reply;
+          Alcotest.test_case "1000 connections reaped" `Quick
+            test_connection_reaping;
         ] );
     ]
