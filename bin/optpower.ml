@@ -179,6 +179,27 @@ let argv_defaults = function
   | "optimum" | "sweep" -> [ ("arch", Json.Str "RCA") ]
   | _ -> []
 
+let usage_error ~cmd code msg =
+  Printf.eprintf "optpower %s: %s: %s\n" cmd
+    (Serve.Protocol.code_string code) msg;
+  exit Cmd.Exit.cli_error
+
+(* Flag checks of the study subcommands that have no wire method: a bad
+   value is reported like a rejected request param, never as an uncaught
+   exception. *)
+let invalid_params ~cmd fmt =
+  Printf.ksprintf (usage_error ~cmd Serve.Protocol.Params) fmt
+
+let table1_row ~cmd label =
+  match
+    List.find_opt
+      (fun (r : Power_core.Paper_data.table1_row) -> r.label = label)
+      Power_core.Paper_data.table1
+  with
+  | Some row -> row
+  | None ->
+    invalid_params ~cmd "unknown architecture %S (see Table 1 labels)" label
+
 (* Validate argv exactly as the service validates a frame (minus the
    service limits); invalid input is a usage error. *)
 let validate ~cmd meth params =
@@ -190,10 +211,7 @@ let validate ~cmd meth params =
   in
   match Serve.Protocol.parse_call meth (Json.Obj params) with
   | Ok call -> (call, params)
-  | Error (code, msg) ->
-    Printf.eprintf "optpower %s: %s: %s\n" cmd
-      (Serve.Protocol.code_string code) msg;
-    exit Cmd.Exit.cli_error
+  | Error (code, msg) -> usage_error ~cmd code msg
 
 (* The validated call of a local subcommand named after its method. *)
 let call_term meth flags =
@@ -394,7 +412,7 @@ let freq_cmd =
     Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Table 1 label.")
   in
   let run label =
-    let row = Power_core.Paper_data.table1_find label in
+    let row = table1_row ~cmd:"freq" label in
     let params =
       Power_core.Calibration.params_of_row Device.Technology.ll
         ~f:Power_core.Paper_data.frequency row
@@ -695,7 +713,7 @@ let energy_cmd =
     Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Table 1 label.")
   in
   let run label =
-    let row = Power_core.Paper_data.table1_find label in
+    let row = table1_row ~cmd:"energy" label in
     let problem =
       Power_core.Calibration.problem_of_row Device.Technology.ll
         ~f:Power_core.Paper_data.frequency row
@@ -719,8 +737,10 @@ let variation_cmd =
   in
   let run jobs obs label samples =
     set_jobs jobs;
+    let row = table1_row ~cmd:"variation" label in
+    if samples < 2 then
+      invalid_params ~cmd:"variation" "\"samples\" must be an integer >= 2";
     with_obs obs @@ fun () ->
-    let row = Power_core.Paper_data.table1_find label in
     let problem =
       Power_core.Calibration.problem_of_row Device.Technology.ll
         ~f:Power_core.Paper_data.frequency row
@@ -755,8 +775,13 @@ let yield_cmd =
   in
   let run jobs obs label dies sampler chunk =
     set_jobs jobs;
+    let row = table1_row ~cmd:"yield" label in
+    if dies < 1 then
+      invalid_params ~cmd:"yield" "\"dies\" must be an integer >= 1";
+    if chunk < 64 || chunk mod 64 <> 0 then
+      invalid_params ~cmd:"yield"
+        "\"chunk\" must be a positive multiple of the 64-die warm chain";
     with_obs obs @@ fun () ->
-    let row = Power_core.Paper_data.table1_find label in
     let problem =
       Power_core.Calibration.problem_of_row Device.Technology.ll
         ~f:Power_core.Paper_data.frequency row
@@ -785,7 +810,7 @@ let thermal_cmd =
   let run label instances =
     let f = Power_core.Paper_data.frequency in
     let base = Device.Technology.ll in
-    let row = Power_core.Paper_data.table1_find label in
+    let row = table1_row ~cmd:"thermal" label in
     let problem0 = Power_core.Calibration.problem_of_row base ~f row in
     let optimum_at (tech : Device.Technology.t) =
       (* Leakage magnifies with die temperature; the 300 K calibration of

@@ -74,10 +74,13 @@ let vdd_slack v = 1e-6 *. Float.max 1.0 (Float.abs v)
 let in_bracket bracket v =
   v >= bracket.Iv.lo -. vdd_slack v && v <= bracket.Iv.hi +. vdd_slack v
 
-(* The seeded solver's initial bracket expansion works at a 5% scale
-   (Numerics.Minimize.seeded_bracket via Numerical_opt.optimum); a seed
-   further than that from the certified bracket could start Brent in the
-   wrong basin without tripping the expansion. *)
+(* How far an Eq. 13 seed may sit from the certified bracket before the
+   audit flags it. The seeded Newton refinement in Numerical_opt.optimum
+   is exact from any seed inside the search range (its sign bracket and
+   bisection safeguards see to that), but a seed this far off means the
+   closed form has left its validity domain: the refinement pays extra
+   iterations, and a seed below the static-power peak starts it by
+   bisection rather than Newton. *)
 let seed_trust_radius = 0.05
 
 let certificate ~label (problem : Pl.problem) =

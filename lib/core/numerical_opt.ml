@@ -5,10 +5,12 @@ type point = Power_law.breakdown
    deterministic for a given problem, so they survive into normalized
    profiles. [opt.grid_evals] / [opt.golden_iters] only move on the blind
    grid-scan path (the differential oracle and the seed fallback);
-   [opt.seeded_solves] / [opt.brent_iters] only on the analytically seeded
-   path; [opt.seed_fallbacks] counts cold solves that could not be seeded
-   because the problem sits outside the Eq. 7 linearization's validity
-   domain. *)
+   [opt.seeded_solves] / [opt.brent_iters] only on the seeded path, where
+   [opt.brent_iters] counts the Newton refinement's residual evaluations
+   (the name predates Newton; perfbench's [opt.brent_iters_per_solve]
+   reads it); [opt.seed_fallbacks] counts solves that ran the grid scan
+   instead: cold problems outside the Eq. 7 linearization's validity
+   domain, and seeded ones whose stationarity residual is not finite. *)
 let c_solves = Obs.Counter.make "opt.solves"
 let c_golden_iters = Obs.Counter.make "opt.golden_iters"
 let c_grid_evals = Obs.Counter.make "opt.grid_evals"
@@ -30,36 +32,107 @@ let ptot_on_constraint problem vdd =
 (* The pre-seeding solver: a blind 256-point scan localises the optimum
    basin, golden section refines it. Kept verbatim as the differential
    oracle for the seeded path (see test_solver_equiv) and as the fallback
-   when no analytic seed is available. *)
+   when no analytic seed is available or the seeded refinement cannot
+   run. [grid_solve] is the unspanned body, shared with that fallback. *)
+let grid_solve ~vdd_lo ~vdd_hi ~samples problem =
+  let r =
+    Numerics.Minimize.grid_then_golden ~samples ~tol:1e-9
+      ~f:(ptot_on_constraint problem) vdd_lo vdd_hi
+  in
+  Obs.Counter.incr c_solves;
+  Obs.Counter.add c_golden_iters r.iterations;
+  Obs.Counter.add c_grid_evals samples;
+  Power_law.at problem ~vdd:r.x
+
 let optimum_grid ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
     ?(samples = 256) problem =
   Obs.Span.with_ ~name:"opt.solve" (fun () ->
-      let r =
-        Numerics.Minimize.grid_then_golden ~samples ~tol:1e-9
-          ~f:(ptot_on_constraint problem) vdd_lo vdd_hi
-      in
-      Obs.Counter.incr c_solves;
-      Obs.Counter.add c_golden_iters r.iterations;
-      Obs.Counter.add c_grid_evals samples;
-      Power_law.at problem ~vdd:r.x)
+      grid_solve ~vdd_lo ~vdd_hi ~samples problem)
 
-(* Refine from a seed supply: expand a bracket geometrically around the
-   seed until unimodality is established, then Brent. [scale] is the
-   relative trust radius — Eq. 13 seeds are good to a few percent, warm
-   starts from a neighbouring solve usually much better, but the expansion
-   makes the exact value uncritical. *)
-let solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale problem =
-  let x0 = Float.min vdd_hi (Float.max vdd_lo seed) in
-  let r =
-    Numerics.Minimize.seeded_bracket ~tol:1e-9 ~f:(ptot_on_constraint problem)
-      ~x0
-      ~scale:(scale *. x0)
-      vdd_lo vdd_hi
+(* Refine from a seed supply: safeguarded Newton on the exact stationarity
+   condition of Ptot along the timing constraint — the paper's Eq. 9
+   before the Eq. 7 linearisation. With g = (chi' v)^(1/alpha),
+   vth = v - g and vth' = 1 - g/(alpha v), dPtot/dVdd = 0 reads
+     2aNCf v = N io e^(-vth/nUt) (v vth'/nUt - 1)
+   and its log form
+     phi(v) = ln(N io / (2aNCf)) - vth/nUt + ln(u / v),
+     u      = v vth'/nUt - 1
+   is nearly linear in v, positive left of the optimum and zero at it
+   (Newton on the raw derivative crawls: the exponential dominates it).
+   The per-problem constants are hoisted, so an iteration costs one [**]
+   and one [log].
+
+   Safeguards: a sign bracket [lo, hi] is kept from phi, starting at the
+   caller's bracket. Where u <= 0 or phi' >= 0 the supply sits below the
+   static-power peak — left of the interior optimum — so the point raises
+   [lo] and the step bisects; a Newton step that would leave the bracket
+   bisects too, which also walks an optimum beyond the bracket onto the
+   wall. Convergence (|step| <= 1e-10 v) is tested before the bracket
+   check, so a converged step landing on a bracket edge is taken, not
+   bisected. Returns [None] when the residual is not finite (degenerate
+   params such as zero activity or leakage) or the iteration budget runs
+   out; the caller then falls back to the grid. Each residual evaluation
+   counts one [opt.brent_iters]. *)
+let newton_max_iters = 100
+let newton_rtol = 1e-10
+
+let stationary_vdd ~vdd_lo ~vdd_hi ~seed (problem : Power_law.problem) =
+  let p = problem.params in
+  let k =
+    Float.log (p.n_cells *. p.io_cell)
+    -. Float.log (2.0 *. p.activity *. p.n_cells *. p.avg_cap *. problem.f)
   in
-  Obs.Counter.incr c_solves;
-  Obs.Counter.incr c_seeded_solves;
-  Obs.Counter.add c_brent_iters r.iterations;
-  Power_law.at problem ~vdd:r.x
+  let inv_nut = 1.0 /. Device.Technology.n_ut problem.tech in
+  let inv_alpha = 1.0 /. problem.tech.alpha in
+  let chi_prime = problem.chi_prime in
+  let clamp v = Float.min vdd_hi (Float.max vdd_lo v) in
+  let iters = ref 0 in
+  let rec eval lo hi x =
+    if !iters >= newton_max_iters then None
+    else begin
+      incr iters;
+      let g = (chi_prime *. x) ** inv_alpha in
+      let ga = g *. inv_alpha in
+      let u = ((x -. ga) *. inv_nut) -. 1.0 in
+      if u <= 0.0 then bisect x hi
+      else
+        let inv_x = 1.0 /. x in
+        let phi = k -. ((x -. g) *. inv_nut) +. Float.log (u *. inv_x) in
+        let dphi =
+          (-.(1.0 -. (ga *. inv_x)) *. inv_nut)
+          +. ((1.0 -. (ga *. inv_alpha *. inv_x)) *. inv_nut /. u)
+          -. inv_x
+        in
+        if not (Float.is_finite phi && Float.is_finite dphi) then None
+        else if dphi >= 0.0 then bisect x hi
+        else
+          let step = -.phi /. dphi in
+          if Float.abs step <= newton_rtol *. x then Some (clamp (x +. step))
+          else
+            let lo = if phi > 0.0 then x else lo
+            and hi = if phi > 0.0 then hi else x in
+            let x' = x +. step in
+            if x' <= lo || x' >= hi then bisect lo hi else eval lo hi x'
+    end
+  and bisect lo hi =
+    let mid = 0.5 *. (lo +. hi) in
+    if hi -. lo <= newton_rtol *. hi then Some mid else eval lo hi mid
+  in
+  let r =
+    if Float.is_finite k then eval vdd_lo vdd_hi (clamp seed) else None
+  in
+  Obs.Counter.add c_brent_iters !iters;
+  r
+
+let solve_seeded ~vdd_lo ~vdd_hi ~seed problem =
+  match stationary_vdd ~vdd_lo ~vdd_hi ~seed problem with
+  | Some vdd ->
+    Obs.Counter.incr c_solves;
+    Obs.Counter.incr c_seeded_solves;
+    Power_law.at problem ~vdd
+  | None ->
+    Obs.Counter.incr c_seed_fallbacks;
+    grid_solve ~vdd_lo ~vdd_hi ~samples:256 problem
 
 (* The closed form is a trustworthy seed only where its own derivation
    holds: the Eq. 7 linearization must be feasible and the predicted
@@ -76,24 +149,23 @@ let eq13_seed ~vdd_lo ~vdd_hi (problem : Power_law.problem) =
     then Some cf.vdd_opt
     else None
 
-(* With [from], re-optimise a problem close to an already solved one: seed
-   from the neighbour's supply with a tight (2 %) trust radius. Without it,
-   seed from Eq. 13, or scan the grid when the closed form is outside its
-   validity domain. *)
+(* With [from], re-optimise a problem close to an already solved one:
+   seed from the neighbour's supply. Without it, seed from Eq. 13, or scan
+   the grid when the closed form is outside its validity domain. *)
 let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ?from
     problem =
-  match from with
-  | Some (from : point) ->
+  let seed =
+    match from with
+    | Some (from : point) -> Some from.vdd
+    | None -> eq13_seed ~vdd_lo ~vdd_hi problem
+  in
+  match seed with
+  | Some seed ->
     Obs.Span.with_ ~name:"opt.solve" (fun () ->
-        solve_seeded ~vdd_lo ~vdd_hi ~seed:from.vdd ~scale:0.02 problem)
-  | None -> (
-    match eq13_seed ~vdd_lo ~vdd_hi problem with
-    | Some seed ->
-      Obs.Span.with_ ~name:"opt.solve" (fun () ->
-          solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale:0.05 problem)
-    | None ->
-      Obs.Counter.incr c_seed_fallbacks;
-      optimum_grid ~vdd_lo ~vdd_hi problem)
+        solve_seeded ~vdd_lo ~vdd_hi ~seed problem)
+  | None ->
+    Obs.Counter.incr c_seed_fallbacks;
+    optimum_grid ~vdd_lo ~vdd_hi problem
 
 let c_store_hits = Obs.Counter.make "opt.store_hits"
 let c_store_misses = Obs.Counter.make "opt.store_misses"

@@ -5,14 +5,23 @@
     Since the Eq. 13 rework the production entry point {!optimum} is
     {e analytically seeded}: the closed form's [vdd_opt] (within 3 % of the
     numerical optimum inside its validity domain — the paper's headline
-    result) starts a bracket expansion + Brent refinement instead of a
-    blind 256-point grid scan. {!optimum_grid} keeps the pre-seeding
+    result) starts a safeguarded Newton iteration on the exact
+    stationarity condition dPtot/dVdd = 0 along the timing constraint (the
+    paper's Eq. 9 without the Eq. 7 linearisation) instead of a blind
+    256-point grid scan. {!optimum_grid} keeps the pre-seeding
     scan-then-golden solver as the differential oracle; the two agree to
     better than 1e-6 relative in both the optimal supply and the optimal
     power (property-tested, [@solver-equiv]). Families of related problems
     (sweeps, ladders, Monte-Carlo dies) should go through
     {!optima_continued}, which warm-starts each solve from its
-    neighbour's optimum. *)
+    neighbour's optimum.
+
+    Counters: [opt.seeded_solves] counts solves finished by the Newton
+    refinement and [opt.brent_iters] its residual evaluations (the name
+    predates the Newton iteration and is kept for existing dashboards);
+    [opt.grid_evals] / [opt.golden_iters] move only on the grid scan;
+    [opt.seed_fallbacks] counts solves that ran the scan because no seed
+    was usable or the residual was not finite. *)
 
 type point = Power_law.breakdown
 
@@ -28,16 +37,22 @@ val optimum :
     [from], seeds from {!Closed_form}'s Eq. 10 [vdd_opt] when the problem
     is inside the linearization's validity domain (the closed form is
     feasible and its predicted optimum falls inside both the Eq. 7 fit
-    range and the search bracket), then refines with
-    {!Numerics.Minimize.seeded_bracket}; falls back to the {!optimum_grid}
+    range and the search bracket); falls back to the {!optimum_grid}
     scan otherwise, counted by the [opt.seed_fallbacks] counter.
 
     [optimum ~from problem] re-optimises a problem known to be close to an
-    already solved one, seeding from [from]'s optimal supply with a tight
-    (2 %) trust radius. The bracket expansion makes the result exact even
-    when the neighbour is further away than that — only the iteration
-    count grows. Default search range {!Power_law.vdd_search_range}
-    (0.05–3.0 V). *)
+    already solved one, seeding from [from]'s optimal supply.
+
+    From either seed the supply is refined by Newton's method on
+    φ(v) = ln(N·io·e^(−vth/nUt)·(v·vth′/nUt − 1)) − ln(2aNCf·v), the log
+    form of dPtot/dVdd = 0, which is nearly linear in v: 3–4 residual
+    evaluations from a neighbouring die's optimum. A sign bracket on φ
+    with bisection safeguards keeps the iteration exact from any seed in
+    the bracket — a distant seed only costs iterations — and an optimum
+    beyond the bracket is pinned on the wall. A non-finite residual (zero
+    activity, leakage or cell count) falls back to the scan, counted by
+    [opt.seed_fallbacks]. Default search range
+    {!Power_law.vdd_search_range} (0.05–3.0 V). *)
 
 val optimum_grid :
   ?vdd_lo:float -> ?vdd_hi:float -> ?samples:int ->

@@ -47,6 +47,18 @@ val monte_carlo :
     the result is a pure function of the generator state and bitwise
     independent of {!Parallel.Pool} size. *)
 
+val apply_factors :
+  Power_law.problem ->
+  leak_factor:float ->
+  cap_factor:float ->
+  speed_factor:float ->
+  alpha:float ->
+  Power_law.problem
+(** [apply_factors problem ~leak_factor ~cap_factor ~speed_factor ~alpha]
+    is one die's varied problem: Io and C scaled by their factors, χ′ by
+    the speed factor, α replaced. Both Monte-Carlo engines build every die
+    through it; exposed so tests can place dies at chosen tails. *)
+
 val draw_factors :
   spread ->
   Numerics.Rng.t ->

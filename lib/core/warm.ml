@@ -1,4 +1,7 @@
-let codec_version = "optpower-warm/1"
+(* Bump whenever the solver can produce different bits for the same
+   problem, so stores written by an older binary are discarded rather
+   than replayed (a warm run must equal a cold one bitwise). *)
+let codec_version = "optpower-warm/2"
 
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
