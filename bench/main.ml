@@ -356,6 +356,23 @@ let bench_diag_explore_warm =
   slow "diag:explore-warm" (fun () ->
       store_ab_explore (Lazy.force store_ab_warmed))
 
+(* Wire encoding of one 112-sample sweep reply (560 numbers), the reply
+   shape that dominates serve's encode layer. *)
+let bench_serve_encode_sweep =
+  let payload =
+    Serve.Engine.run_call
+      (Serve.Protocol.Sweep
+         {
+           tech = Device.Technology.ll;
+           arch = "RCA";
+           samples = 112;
+           vdd_lo = 0.3;
+           vdd_hi = 1.1;
+         })
+  in
+  make_bench "serve:encode-sweep-112" (fun () ->
+      ignore (Serve.Json.to_string payload))
+
 (* Order-statistics A/B: full sort versus in-place quickselect, both on a
    fresh copy of the same 50k-element array. *)
 let percentile_base =
@@ -417,6 +434,7 @@ let benchmarks =
     bench_diag_dse_pareto_pruned;
     bench_diag_explore_cold;
     bench_diag_explore_warm;
+    bench_serve_encode_sweep;
   ]
 
 let contains_substring s sub =

@@ -132,32 +132,44 @@ let parse_string st =
   loop ();
   Buffer.contents buf
 
+(* RFC 8259 numbers: -? (0 | [1-9][0-9]* ) (.[0-9]+)? ([eE][+-]?[0-9]+)?.
+   The scan takes the whole numeric token first, so a rejected one ("01",
+   "1.", "1.e3") is named in full in the error. *)
 let parse_number st =
   let start = st.pos in
-  let consume_while pred =
+  let digits () =
+    let from = st.pos in
     let rec go () =
       match peek st with
-      | Some c when pred c ->
+      | Some '0' .. '9' ->
         advance st;
         go ()
       | _ -> ()
     in
-    go ()
+    go ();
+    st.pos - from
   in
   if peek st = Some '-' then advance st;
-  consume_while (function '0' .. '9' -> true | _ -> false);
-  if peek st = Some '.' then begin
-    advance st;
-    consume_while (function '0' .. '9' -> true | _ -> false)
-  end;
-  (match peek st with
-  | Some ('e' | 'E') ->
-    advance st;
-    (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-    consume_while (function '0' .. '9' -> true | _ -> false)
-  | _ -> ());
+  let int_start = st.pos in
+  let n_int = digits () in
+  let ok = n_int = 1 || (n_int > 1 && st.s.[int_start] <> '0') in
+  let ok =
+    if peek st = Some '.' then begin
+      advance st;
+      digits () > 0 && ok
+    end
+    else ok
+  in
+  let ok =
+    match peek st with
+    | Some ('e' | 'E') ->
+      advance st;
+      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
+      digits () > 0 && ok
+    | _ -> ok
+  in
   let token = String.sub st.s start (st.pos - start) in
-  match float_of_string_opt token with
+  match if ok then float_of_string_opt token else None with
   | Some v -> v
   | None -> fail st (Printf.sprintf "invalid number %S" token)
 
@@ -251,19 +263,168 @@ let escape_into buf s =
     s
 
 (* 2^53: the largest power of two below which every integer is exact in
-   float64 and %.0f prints it verbatim. *)
+   float64, so it prints as the int it is (what %.0f prints). *)
 let max_exact_int = 9007199254740992.0
 
-let number_to_string v =
+(* Numbers print byte-identically to C's %.17g (17 significant digits,
+   trailing zeros stripped, exponent form below 1e-4 or from 1e17 on), but
+   without going through printf, which costs about 1 us per float. For a
+   normal x = m * 2^e with decimal exponent k in [-22, 16], the 17 digits
+   are D = round-half-even(m * 5^j * 2^(e+j)) with j = 16 - k: one exact
+   product of m < 2^53 and 5^j < 2^90 in 30-bit limbs, then one rounded
+   shift. Every other input goes to the C printer. Each call works in its
+   own bytes, so connection threads and domains never share state. *)
+
+let p16 = 10_000_000_000_000_000
+let p17 = 100_000_000_000_000_000
+let mask30 = (1 lsl 30) - 1
+
+(* 5^j for j = 0 .. 38, the powers below 2^90, as three 30-bit limbs each,
+   low limb first. *)
+let pow5 =
+  let a = Array.make (3 * 39) 0 in
+  a.(0) <- 1;
+  for j = 1 to 38 do
+    let c0 = 5 * a.(3 * (j - 1)) in
+    let c1 = (5 * a.((3 * j) - 2)) + (c0 lsr 30) in
+    let c2 = (5 * a.((3 * j) - 1)) + (c1 lsr 30) in
+    a.(3 * j) <- c0 land mask30;
+    a.((3 * j) + 1) <- c1 land mask30;
+    a.((3 * j) + 2) <- c2
+  done;
+  a
+
+(* Print the significand [d] in [10^16, 10^17) at decimal exponent [k] with
+   %g's layout. The digits go to bytes 24..40 of a fresh [b]; the text is
+   built in bytes 0..23 (at most 23 long) and copied out in one go. *)
+let add_g17_digits buf neg d k =
+  let b = Bytes.create 41 in
+  let d = ref d in
+  for i = 40 downto 24 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!d mod 10)));
+    d := !d / 10
+  done;
+  let last = ref 40 in
+  while Bytes.unsafe_get b !last = '0' do
+    decr last
+  done;
+  let nd = !last - 23 in
+  let p =
+    if neg then begin
+      Bytes.unsafe_set b 0 '-';
+      1
+    end
+    else 0
+  in
+  let len =
+    if k < -4 || k >= 17 then begin
+      Bytes.unsafe_set b p (Bytes.unsafe_get b 24);
+      let p =
+        if nd > 1 then begin
+          Bytes.unsafe_set b (p + 1) '.';
+          Bytes.blit b 25 b (p + 2) (nd - 1);
+          p + nd + 1
+        end
+        else p + 1
+      in
+      (* |k| <= 22 here, and %g always prints two exponent digits. *)
+      let a = abs k in
+      Bytes.unsafe_set b p 'e';
+      Bytes.unsafe_set b (p + 1) (if k < 0 then '-' else '+');
+      Bytes.unsafe_set b (p + 2) (Char.unsafe_chr (48 + (a / 10)));
+      Bytes.unsafe_set b (p + 3) (Char.unsafe_chr (48 + (a mod 10)));
+      p + 4
+    end
+    else if k >= 0 then begin
+      Bytes.blit b 24 b p (k + 1);
+      if nd > k + 1 then begin
+        Bytes.unsafe_set b (p + k + 1) '.';
+        Bytes.blit b (25 + k) b (p + k + 2) (nd - k - 1);
+        p + nd + 1
+      end
+      else p + k + 1
+    end
+    else begin
+      Bytes.unsafe_set b p '0';
+      Bytes.unsafe_set b (p + 1) '.';
+      Bytes.fill b (p + 2) (-k - 1) '0';
+      Bytes.blit b 24 b (p + 1 - k) nd;
+      p + 1 - k + nd
+    end
+  in
+  Buffer.add_subbytes buf b 0 len
+
+(* Try the exact path for m * 2^e (m < 2^53) at decimal exponent guess
+   [k]; [false] means the input is outside it. The guess is never above
+   the true exponent and at most one below it, which shows as a floor of
+   x * 10^j at or above 10^17. *)
+let rec add_g17_exact buf neg m e k =
+  let j = 16 - k in
+  if j < 0 || j > 38 then false
+  else
+    let m0 = m land mask30 and m1 = m lsr 30 in
+    let p0 = pow5.(3 * j) and p1 = pow5.((3 * j) + 1) in
+    let p2 = pow5.((3 * j) + 2) in
+    (* Limb products are below 2^60, so no partial sum overflows. *)
+    let c0 = m0 * p0 in
+    let c1 = (m0 * p1) + (m1 * p0) + (c0 lsr 30) in
+    let c2 = (m0 * p2) + (m1 * p1) + (c1 lsr 30) in
+    let c3 = (m1 * p2) + (c2 lsr 30) in
+    let l =
+      [| c0 land mask30; c1 land mask30; c2 land mask30; c3 land mask30;
+         c3 lsr 30 |]
+    in
+    (* floor(m * 5^j / 2^s) is below 10^18 < 2^60, so s <= 89 and at most
+       three limbs take part. *)
+    let s = -(e + j) in
+    let q =
+      if s <= 0 then (l.(0) lor (l.(1) lsl 30)) lsl -s
+      else
+        let i = s / 30 and o = s mod 30 in
+        (l.(i) lsr o) lor (l.(i + 1) lsl (30 - o)) lor (l.(i + 2) lsl (60 - o))
+    in
+    if q >= p17 then add_g17_exact buf neg m e (k + 1)
+    else
+      (* Round half to even: bit s - 1 is the half; below it, any set bit
+         breaks a tie upwards. *)
+      let up =
+        s > 0
+        &&
+        let i = (s - 1) / 30 and o = (s - 1) mod 30 in
+        (l.(i) lsr o) land 1 = 1
+        && (q land 1 = 1
+           || l.(i) land ((1 lsl o) - 1) <> 0
+           || (i >= 1 && l.(0) <> 0)
+           || (i = 2 && l.(1) <> 0))
+      in
+      let d = if up then q + 1 else q in
+      (* A floor below 10^17 can still round up to it: the double nearest
+         1e-14 lies just below 1e-14 and prints as 1e-14. *)
+      if d = p17 then add_g17_digits buf neg p16 (k + 1)
+      else add_g17_digits buf neg d k;
+      true
+
+let add_number buf v =
   if not (Float.is_finite v) then
     invalid_arg "Json.to_string: non-finite number";
   if Float.is_integer v && Float.abs v < max_exact_int then
-    Printf.sprintf "%.0f" v
+    if v = 0.0 && Float.sign_bit v then Buffer.add_string buf "-0"
+    else Buffer.add_string buf (string_of_int (int_of_float v))
   else
-    let s = Printf.sprintf "%.17g" v in
-    (* %.17g always round-trips float64; it never emits 'inf'/'nan' here
-       because non-finite values were rejected above. *)
-    s
+    let bits = Int64.to_int (Int64.bits_of_float v) in
+    let biased = (bits lsr 52) land 0x7ff in
+    (* Zero takes the integer path, so [biased = 0] is a subnormal. The
+       guess floor((biased - 1023) * log10 2) = floor(log10 2^E), E the
+       binary exponent, is exact in this fixed-point form for every normal
+       double. *)
+    if
+      biased = 0
+      || not
+           (add_g17_exact buf (v < 0.0)
+              (bits land 0xF_FFFF_FFFF_FFFF lor (1 lsl 52))
+              (biased - 1075)
+              (((biased - 1023) * 78913) asr 18))
+    then Buffer.add_string buf (Printf.sprintf "%.17g" v)
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -271,7 +432,7 @@ let to_string v =
     | Null -> Buffer.add_string buf "null"
     | Bool true -> Buffer.add_string buf "true"
     | Bool false -> Buffer.add_string buf "false"
-    | Num v -> Buffer.add_string buf (number_to_string v)
+    | Num v -> add_number buf v
     | Str s ->
       Buffer.add_char buf '"';
       escape_into buf s;

@@ -9,8 +9,9 @@
       that every float64 bit survives, so a reply built from solver output
       re-reads to the identical bits.
     - {b Totality.} [parse] never raises and never loops: malformed input,
-      deeply nested input (depth capped) and non-finite number literals
-      ([NaN], [Infinity] — invalid JSON) all return [Error]. Numeric
+      deeply nested input (depth capped), non-finite number literals
+      ([NaN], [Infinity]) and numbers outside the RFC 8259 grammar (["01"],
+      ["1."], ["1.e3"], ["-.5"]) all return [Error]. Numeric
       {e overflow} (["1e999"]) parses to [infinity]; rejecting non-finite
       payloads is the protocol layer's job ({!Protocol}), not the
       grammar's. *)
@@ -28,8 +29,12 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact one-line rendering (no newlines, ever — it must stay one
-    frame). Integral numbers within the exact-float64 range print without
-    an exponent or decimal point; everything else uses [%.17g].
+    frame). Integral numbers below 2{^53} in magnitude print as integers
+    (["-0"] for [-0.0]); every other number prints byte-identically to C
+    [%.17g]. An exact integer formatter covers decimal exponents -22 to 16
+    of normal floats, so nearly every wire number skips [printf];
+    subnormals and magnitudes below 1e-22 or from 1e17 on fall back to the
+    C printer. Safe to call from several threads and domains at once.
     @raise Invalid_argument on a non-finite {!Num} — the protocol never
     emits NaN/Infinity. *)
 

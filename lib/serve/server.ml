@@ -14,10 +14,16 @@ let write_line fd s =
      keeps draining its remaining input. *)
   try w 0 (String.length line) with Unix.Unix_error _ -> ()
 
+(* Reply encoding gets its own span so a traced run shows the encode layer.
+   It is detached: every connection thread shares the domain's span stack
+   with the session thread, so a nested span could capture another
+   thread's path or leave its own behind. *)
+let encode f = Obs.Span.with_detached ~name:"serve.encode" f
+
 let handle_connection session fd =
   let reply_error ~id code msg =
     Obs.Counter.incr c_frame_errors;
-    write_line fd (Protocol.error_frame ~id code msg)
+    write_line fd (encode (fun () -> Protocol.error_frame ~id code msg))
   in
   let handle_line line =
     Obs.Counter.incr c_frames;
@@ -27,7 +33,8 @@ let handle_connection session fd =
       | Error (id, code, msg) -> reply_error ~id code msg
       | Ok { id; call } -> (
         match Session.submit session call with
-        | payload -> write_line fd (Protocol.ok_frame ~id payload)
+        | payload ->
+          write_line fd (encode (fun () -> Protocol.ok_frame ~id payload))
         | exception Session.Shutting_down ->
           reply_error ~id Protocol.Shutdown "session is draining"
         | exception e ->
@@ -46,9 +53,7 @@ let handle_connection session fd =
     if !oversized then begin
       Obs.Counter.incr c_frames;
       oversized := false;
-      write_line fd (Protocol.error_frame ~id:Json.Null Protocol.Frame
-                       oversize_msg);
-      Obs.Counter.incr c_frame_errors
+      reply_error ~id:Json.Null Protocol.Frame oversize_msg
     end
     else begin
       let line = Buffer.contents acc in

@@ -516,6 +516,118 @@ let test_json_roundtrip () =
         Alcotest.failf "case %d: round-trip changed %S" i s
   done
 
+(* The printer against the C printer it replaces: one number must print
+   exactly as %.17g does, or as %.0f for an integer below 2^53. The
+   formatters are applied once to their format, so each check pays only
+   for the conversion. *)
+let c_g17 = Printf.sprintf "%.17g"
+let c_int = Printf.sprintf "%.0f"
+
+let check_number v =
+  let want =
+    if Float.is_integer v && Float.abs v < 0x1p53 then c_int v else c_g17 v
+  in
+  let got = Json.to_string (Json.Num v) in
+  if not (String.equal got want) then
+    Alcotest.failf "%h prints %s, C gives %s" v got want
+
+let check_both v =
+  check_number v;
+  check_number (-.v)
+
+let check_neighbours v =
+  check_both v;
+  check_both (Float.pred v);
+  check_both (Float.succ v)
+
+let test_json_numbers () =
+  (* 2 M random bit patterns, checked on two domains with a seed each. Most
+     keep an exponent within 1e-24 .. 1e18, both sides of the exact path's
+     range; one in 64 is drawn from every exponent. *)
+  let random_patterns seed () =
+    let st = Random.State.make [| seed |] in
+    for i = 1 to 1_000_000 do
+      let biased =
+        if i land 63 = 0 then Random.State.int st 2047
+        else 1023 - 80 + Random.State.int st 140
+      in
+      let bits =
+        Int64.logor
+          (Int64.shift_left (Int64.of_int biased) 52)
+          (Int64.logand (Random.State.bits64 st) 0x800F_FFFF_FFFF_FFFFL)
+      in
+      check_number (Int64.float_of_bits bits)
+    done
+  in
+  List.map (fun seed -> Domain.spawn (random_patterns seed)) [ 0x179; 0x17A ]
+  |> List.iter Domain.join;
+  for p = -30 to 20 do
+    check_neighbours (float_of_string (Printf.sprintf "1e%d" p))
+  done;
+  (* Exact decimal ties at the 17th digit round half to even. *)
+  List.iter check_both [ 1e15 +. 0.25; 1e15 +. 0.75; 1e15 +. 0.5 ];
+  for i = 0 to 999 do
+    check_both (1e14 +. (float_of_int ((2 * i) + 1) /. 8.0));
+    check_both (float_of_int i +. 0.5)
+  done;
+  (* Subnormals, 2^53 and the signed zeros. *)
+  List.iter check_neighbours [ 5e-324; Float.min_float; 0x1p-1023; 0x1p53; 0.0 ];
+  check_both Float.max_float;
+  check_number (-0.0);
+  let st = Random.State.make [| 0x5B |] in
+  for _ = 1 to 1000 do
+    check_both
+      (Int64.float_of_bits
+         (Int64.logand (Random.State.bits64 st) 0x000F_FFFF_FFFF_FFFFL))
+  done;
+  (* The exact path covers decimal exponents -22 .. 16, and %g switches to
+     exponent form below 1e-4. A value just below a power of ten keeps its
+     own exponent (0x1.ad7f29abcaf48p-24 is 9.9999999999999995e-08, not
+     1e-07), unless its 17 digits round up to the power: the double
+     nearest 1e-14 lies below it. *)
+  List.iter check_neighbours
+    [ 1e-23; 1e-22; 1e-14; 1e-5; 1e-4; 0.1; 1.0; 1e16; 1e17; 1e18 ];
+  List.iter check_neighbours
+    [ 0x1.ad7f29abcaf48p-24; 0.99999999999999989; 9.9999999999999991e-11 ];
+  match Json.to_string (Json.Num Float.nan) with
+  | s -> Alcotest.failf "NaN printed as %s" s
+  | exception Invalid_argument _ -> ()
+
+(* The printer keeps no shared state: one 2000-sample sweep reply encoded
+   from 8 threads and from 2 domains at once must equal a sequential
+   encode byte for byte. *)
+let test_json_concurrent_encode () =
+  let payload =
+    Engine.run_call
+      (Protocol.Sweep
+         {
+           tech = Device.Technology.ll;
+           arch = "RCA";
+           samples = 2000;
+           vdd_lo = 0.25;
+           vdd_hi = 1.2;
+         })
+  in
+  let want = Json.to_string payload in
+  let encode_all reps =
+    List.init reps (fun _ -> String.equal (Json.to_string payload) want)
+    |> List.for_all Fun.id
+  in
+  let results = Array.make 8 false in
+  let threads =
+    List.init 8 (fun i ->
+        Thread.create (fun () -> results.(i) <- encode_all 10) ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun i ok -> if not ok then Alcotest.failf "thread %d: encode differs" i)
+    results;
+  let domains = List.init 2 (fun _ -> Domain.spawn (fun () -> encode_all 20)) in
+  List.iteri
+    (fun i d ->
+      if not (Domain.join d) then Alcotest.failf "domain %d: encode differs" i)
+    domains
+
 (* The parser is total: random garbage returns Ok or Error, never raises
    and never hangs. *)
 let test_json_fuzz_total () =
@@ -590,6 +702,24 @@ let test_adversarial_frames () =
     Alcotest.(check int) "recovered id" 77 (int_of_float id)
   | _ -> Alcotest.fail "invalid-params reply lost the request id");
   expect_alive c;
+  (* Numbers outside the RFC 8259 grammar: a leading zero before a digit,
+     or a fraction or exponent without digits. *)
+  List.iter
+    (fun num ->
+      ignore
+        (expect_error ~what:("number " ^ num) c
+           (Printf.sprintf
+              {|{"id":4,"method":"sweep","params":{"arch":"RCA","vdd_lo":%s}}|}
+              num)
+           "parse-error"))
+    [ "01"; "-01"; "00"; "1."; "1.e3"; "-.5"; "1e"; "1e+" ];
+  expect_alive c;
+  List.iter
+    (fun num ->
+      match Json.parse num with
+      | Ok (Json.Num _) -> ()
+      | _ -> Alcotest.failf "valid number %s rejected" num)
+    [ "0"; "-0"; "0.5"; "-0.0e-0"; "10"; "1e3"; "1E+3"; "2.5e-07" ];
   (* Unknown method. *)
   ignore
     (expect_error ~what:"unknown method" c
@@ -744,5 +874,9 @@ let () =
             test_hangup_mid_reply;
           Alcotest.test_case "1000 connections reaped" `Quick
             test_connection_reaping;
+          Alcotest.test_case "numbers print as C %.17g" `Quick
+            test_json_numbers;
+          Alcotest.test_case "concurrent encodes match" `Quick
+            test_json_concurrent_encode;
         ] );
     ]
