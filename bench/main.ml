@@ -93,6 +93,22 @@ let bench_activity =
   make_bench ~limit:60 "logicsim:activity-wallace16-20cycles" (fun () ->
       ignore (Multipliers.Harness.measure_activity ~cycles:20 spec))
 
+(* The explorer's two characterisation stages on one substrate, the
+   8-bit signed radix-4 Booth build: placement (greedy swaps over cached
+   net lengths) and the 160-cycle activity measurement it runs by
+   default. *)
+let booth8s =
+  Multipliers.Booth.generate ~signedness:Multipliers.Booth.Signed ~radix:4
+    ~bits:8 ()
+
+let bench_place_booth8s =
+  make_bench "netlist:place-booth8s" (fun () ->
+      ignore (Netlist.Placement.place booth8s.circuit))
+
+let bench_diag_activity_booth8s =
+  make_bench ~limit:60 "diag:activity-booth8s-160" (fun () ->
+      ignore (Multipliers.Harness.measure_activity ~cycles:160 booth8s))
+
 (* A/B pair for the builder preallocation: the same Wallace core framed
    with and without the cell-count hint. A is the plain growth-doubling
    path ([Registered.build] with no [expect_cells]), B is the hinted
@@ -409,6 +425,8 @@ let benchmarks =
     bench_catalog_cached;
     bench_sta;
     bench_activity;
+    bench_place_booth8s;
+    bench_diag_activity_booth8s;
     bench_diag_simonly;
     bench_diag_cyclesonly;
     bench_diag_cycles_reference;

@@ -153,6 +153,209 @@ let compile circuit =
       lazy (Array.of_list (Netlist.Topo.combinational circuit));
   }
 
+(* The event calendar. Event times are sums of a few distinct positive
+   gate delays, so only a handful of *distinct* times are pending at once
+   (gate delays span a short horizon — measured ≤ 16 distinct times live
+   against several hundred queued events on a 16-bit Wallace tree). The
+   calendar therefore keeps a short sorted array of distinct-time buckets,
+   not a comparison heap: pop is O(1) with no sift, and push is a short
+   scan from the back of the sorted array, since new events carry the
+   latest times. Each bucket is a FIFO chain of nodes, and a node is a
+   slot of three flat [int] arrays (payload words and next link), so
+   neither a push nor a pop allocates or writes a pointer; popped nodes go
+   on a free list.
+
+   The pop order is exactly the (time, insertion order) total order of a
+   comparison heap: entries within one bucket share identical float bits
+   and drain FIFO (= insertion order), buckets drain in ascending float
+   order, and a retired time that reappears is re-inserted at its sorted
+   position ahead of every later-time bucket. Times must be totally
+   ordered (no NaN) — event times are finite sums of positive delays.
+
+   It lives in this compilation unit, next to the kernel, because the dev
+   profile builds with [-opaque]: a call into another module is never
+   inlined, and a float crossing such a call is boxed. The kernel's hot
+   path ([push_after], [pop]) passes only ints: the calendar reads the
+   current time and the output delay itself, and the popped time lands
+   in a flat [float array] cell. *)
+module Calendar = struct
+  type t = {
+    now : float array;  (* length 1: the current time, for [push_after] *)
+    delay : float array;  (* [push_after]'s delay table *)
+    (* Sorted ascending distinct times; the live slice is
+       [first, first + nb). *)
+    mutable bt : float array;
+    mutable bhead : int array;  (* per bucket: oldest node *)
+    mutable btail : int array;  (* per bucket: newest node *)
+    mutable first : int;
+    mutable nb : int;
+    (* Nodes: payload words and the next node of the same bucket ([-1]
+       ends the chain, and the free list). *)
+    mutable node_a : int array;
+    mutable node_b : int array;
+    mutable next : int array;
+    mutable free : int;  (* free-list head, [-1] when empty *)
+    mutable fresh : int;  (* nodes [fresh ..] unused since the last clear *)
+    mutable len : int;
+    top_time : float array;
+        (* length 1: flat float storage, so depositing the popped time never
+           allocates a box (a mutable float field in this mixed record
+           would) *)
+    mutable top_a : int;
+    mutable top_b : int;
+  }
+
+  let initial_nodes = 64
+
+  let make ~now ~delay =
+    {
+      now;
+      delay;
+      bt = [||];
+      bhead = [||];
+      btail = [||];
+      first = 0;
+      nb = 0;
+      node_a = Array.make initial_nodes 0;
+      node_b = Array.make initial_nodes 0;
+      next = Array.make initial_nodes (-1);
+      free = -1;
+      fresh = 0;
+      len = 0;
+      top_time = [| 0.0 |];
+      top_a = 0;
+      top_b = 0;
+    }
+
+  let create () = make ~now:[| 0.0 |] ~delay:[||]
+  let length c = c.len
+  let is_empty c = c.len = 0
+  let top_time c = Array.unsafe_get c.top_time 0
+  let top_a c = c.top_a
+  let top_b c = c.top_b
+  let peek_time c = if c.len = 0 then None else Some c.bt.(c.first)
+
+  (* Every node becomes fresh again: no walk over the chains. *)
+  let clear c =
+    c.first <- 0;
+    c.nb <- 0;
+    c.free <- -1;
+    c.fresh <- 0;
+    c.len <- 0
+
+  let grow_nodes c =
+    let cap = Array.length c.node_a in
+    let grow a fill =
+      let b = Array.make (2 * cap) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    c.node_a <- grow c.node_a 0;
+    c.node_b <- grow c.node_b 0;
+    c.next <- grow c.next (-1)
+
+  let alloc_node c =
+    let k = c.free in
+    if k >= 0 then begin
+      c.free <- Array.unsafe_get c.next k;
+      k
+    end
+    else begin
+      let k = c.fresh in
+      if k = Array.length c.node_a then grow_nodes c;
+      c.fresh <- k + 1;
+      k
+    end
+
+  (* Guarantee a free slot at the end of the bucket table: slide the live
+     slice back to the front when only the tail is exhausted, double
+     otherwise. *)
+  let ensure_slot c =
+    let cap = Array.length c.bt in
+    if c.first + c.nb = cap then
+      if c.first > 0 then begin
+        Array.blit c.bt c.first c.bt 0 c.nb;
+        Array.blit c.bhead c.first c.bhead 0 c.nb;
+        Array.blit c.btail c.first c.btail 0 c.nb;
+        c.first <- 0
+      end
+      else begin
+        let ncap = max 16 (2 * cap) in
+        let bt = Array.make ncap 0.0 in
+        let bhead = Array.make ncap 0 and btail = Array.make ncap 0 in
+        Array.blit c.bt 0 bt 0 c.nb;
+        Array.blit c.bhead 0 bhead 0 c.nb;
+        Array.blit c.btail 0 btail 0 c.nb;
+        c.bt <- bt;
+        c.bhead <- bhead;
+        c.btail <- btail
+      end
+
+  (* Inlined into both pushes, so [time] stays an unboxed local. *)
+  let[@inline] insert c time a b =
+    let node = alloc_node c in
+    Array.unsafe_set c.node_a node a;
+    Array.unsafe_set c.node_b node b;
+    Array.unsafe_set c.next node (-1);
+    c.len <- c.len + 1;
+    ensure_slot c;
+    let first = c.first in
+    let last = first + c.nb - 1 in
+    let bt = c.bt in
+    (* Scan from the back: pushed times never precede the front bucket
+       (delays are strictly positive) and are usually among the latest. *)
+    let i = ref last in
+    while !i >= first && Array.unsafe_get bt !i > time do
+      decr i
+    done;
+    if !i >= first && Array.unsafe_get bt !i = time then begin
+      Array.unsafe_set c.next (Array.unsafe_get c.btail !i) node;
+      Array.unsafe_set c.btail !i node
+    end
+    else begin
+      let pos = !i + 1 in
+      let tail = last - pos + 1 in
+      if tail > 0 then begin
+        Array.blit bt pos bt (pos + 1) tail;
+        Array.blit c.bhead pos c.bhead (pos + 1) tail;
+        Array.blit c.btail pos c.btail (pos + 1) tail
+      end;
+      Array.unsafe_set bt pos time;
+      Array.unsafe_set c.bhead pos node;
+      Array.unsafe_set c.btail pos node;
+      c.nb <- c.nb + 1
+    end
+
+  let push c ~time ~a ~b = insert c time a b
+
+  (* Schedule at the current time plus [delay.(k)]. *)
+  let push_after c k ~a ~b =
+    insert c
+      (Array.unsafe_get c.now 0 +. Array.unsafe_get c.delay k)
+      a b
+
+  let pop c =
+    if c.len = 0 then false
+    else begin
+      let i = c.first in
+      let node = Array.unsafe_get c.bhead i in
+      Array.unsafe_set c.top_time 0 (Array.unsafe_get c.bt i);
+      c.top_a <- Array.unsafe_get c.node_a node;
+      c.top_b <- Array.unsafe_get c.node_b node;
+      let next = Array.unsafe_get c.next node in
+      Array.unsafe_set c.next node c.free;
+      c.free <- node;
+      c.len <- c.len - 1;
+      if next < 0 then begin
+        c.first <- i + 1;
+        c.nb <- c.nb - 1;
+        if c.nb = 0 then c.first <- 0
+      end
+      else Array.unsafe_set c.bhead i next;
+      true
+    end
+end
+
 (* Flushed once per [settle] from per-call deltas, exactly like the
    reference kernel (the names resolve to the same Obs counters). *)
 let c_events = Obs.Counter.make "sim.events"
@@ -168,7 +371,6 @@ type t = {
   in_net : int array;
   out_off : int array;
   out_net : int array;
-  out_delay : float array;
   fan_off : int array;
   fan_cell : int array;
   driver : int array;
@@ -176,7 +378,7 @@ type t = {
   pending : Bytes.t;  (* per net: value code, 3 = none *)
   serials : int array;
   toggles : int array;
-  heap : Unboxed_heap.t;
+  cal : Calendar.t;
   before : Bytes.t;  (* per net: value at the last baseline *)
   mutable dirty : int array;  (* driven nets committed since baseline *)
   mutable n_dirty : int;
@@ -184,7 +386,7 @@ type t = {
   time : float array;
       (* length 1: flat storage keeps the per-event time update
          allocation-free (a mutable float field in a mixed record boxes on
-         every store) *)
+         every store). Shared with [cal], whose [push_after] reads it. *)
   mutable committed : int;
   mutable total : int;
   mutable evals : int;
@@ -251,17 +453,14 @@ let schedule t ~time net target =
       bset t.pending net 3
     else begin
       bset t.pending net target;
-      Unboxed_heap.push t.heap ~time ~a:((net lsl 2) lor target) ~b:serial
+      Calendar.push t.cal ~time ~a:((net lsl 2) lor target) ~b:serial
     end
   end
 
-(* [schedule] for a cell output: takes the evaluation time plus the
-   output's delay-table index and performs the [time +. delay] addition
-   only on the path that actually pushes — without flambda a float crossing
-   a function boundary is boxed, and most gate evaluations schedule
-   nothing, so computing the launch time at the call site would allocate a
-   box per no-op. *)
-let schedule_out t ~time doo net target =
+(* [schedule] for a cell output at the current time plus the delay of
+   output [doo]. It takes no float: the calendar reads the current time
+   and the delay table itself, so nothing is boxed per event. *)
+let schedule_out t doo net target =
   let pending = bget t.pending net in
   let projected = if pending <> 3 then pending else bget t.values net in
   if target <> projected then begin
@@ -270,17 +469,15 @@ let schedule_out t ~time doo net target =
     if target = bget t.values net then bset t.pending net 3
     else begin
       bset t.pending net target;
-      Unboxed_heap.push t.heap
-        ~time:(time +. Array.unsafe_get t.out_delay doo)
-        ~a:((net lsl 2) lor target)
-        ~b:serial
+      Calendar.push_after t.cal doo ~a:((net lsl 2) lor target) ~b:serial
     end
   end
 
 (* Each arity reads its operands and schedules its outputs inline — no
    local [out]/[inp] helpers, which the non-flambda compiler would allocate
-   as closures on every evaluation. *)
-let eval_cell t ~time id =
+   as closures on every evaluation. The outputs launch from the current
+   time [t.time]. *)
+let eval_cell t id =
   t.evals <- t.evals + 1;
   let io = Array.unsafe_get t.in_off id in
   let oo = Array.unsafe_get t.out_off id in
@@ -289,67 +486,67 @@ let eval_cell t ~time id =
   match Array.unsafe_get t.kind id with
   | 2 (* Inv *) ->
     let a = bget values (Array.unsafe_get in_net io) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo) (lnot_c a)
   | 3 (* Buf *) ->
     let a = bget values (Array.unsafe_get in_net io) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo) a
   | 4 (* Nand2 *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo)
       (lnot_c (land_c a b))
   | 5 (* Nor2 *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo)
       (lnot_c (lor_c a b))
   | 6 (* And2 *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo) (land_c a b)
   | 7 (* Or2 *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo) (lor_c a b)
   | 8 (* Xor2 *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo) (lxor_c a b)
   | 9 (* Xnor2 *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo)
       (lnot_c (lxor_c a b))
   | 10 (* Mux2: inputs d0; d1; sel *) ->
     let d0 = bget values (Array.unsafe_get in_net io)
     and d1 = bget values (Array.unsafe_get in_net (io + 1))
     and sel = bget values (Array.unsafe_get in_net (io + 2)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo) (mux_c d0 d1 sel)
   | 11 (* Half_adder *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo) (lxor_c a b);
-    schedule_out t ~time (oo + 1)
+    schedule_out t (oo + 1)
       (Array.unsafe_get out_net (oo + 1))
       (land_c a b)
   | 12 (* Full_adder *) ->
     let a = bget values (Array.unsafe_get in_net io)
     and b = bget values (Array.unsafe_get in_net (io + 1))
     and c = bget values (Array.unsafe_get in_net (io + 2)) in
-    schedule_out t ~time oo
+    schedule_out t oo
       (Array.unsafe_get out_net oo)
       (lxor_c (lxor_c a b) c);
-    schedule_out t ~time (oo + 1)
+    schedule_out t (oo + 1)
       (Array.unsafe_get out_net (oo + 1))
       (carry_c a b c)
   | _ (* ties and flip-flops never reach the evaluator *) -> ()
@@ -367,7 +564,7 @@ let mark_dirty t net =
     t.n_dirty <- n + 1
   end
 
-let commit t ~time net target =
+let commit t net target =
   let old_value = bget t.values net in
   bset t.values net target;
   bset t.pending net 3;
@@ -385,32 +582,33 @@ let commit t ~time net target =
   let lo = Array.unsafe_get t.fan_off net
   and hi = Array.unsafe_get t.fan_off (net + 1) in
   for slot = lo to hi - 1 do
-    eval_cell t ~time (Array.unsafe_get t.fan_cell slot)
+    eval_cell t (Array.unsafe_get t.fan_cell slot)
   done
 
 let settle ?(event_limit = 10_000_000) t =
   let committed0 = t.committed and evals0 = t.evals in
   let processed = ref 0 in
-  let heap = t.heap in
+  let cal = t.cal in
   let serials = t.serials and pending = t.pending in
   let continue = ref true in
   while !continue do
-    if not (Unboxed_heap.pop heap) then continue := false
+    if not (Calendar.pop cal) then continue := false
     else begin
-      let a = Unboxed_heap.top_a heap in
+      let a = cal.top_a in
       let net = a lsr 2 and target = a land 3 in
-      if
-        Unboxed_heap.top_b heap = Array.unsafe_get serials net
-        && bget pending net <> 3
+      if cal.top_b = Array.unsafe_get serials net && bget pending net <> 3
       then begin
         incr processed;
         if !processed > event_limit then
           failwith "Simulator.settle: event limit exceeded (oscillation?)";
-        let time = Unboxed_heap.top_time heap in
-        (* [Float.max] without the call: times are never NaN here. *)
+        (* [Float.max] without the call: times are never NaN here. Every
+           queued time is at least [t.time] (pushes launch from it with
+           non-negative delays), so [t.time] becomes the popped time —
+           the time [commit] evaluates the readers at. *)
+        let time = Array.unsafe_get cal.top_time 0 in
         if time > Array.unsafe_get t.time 0 then
           Array.unsafe_set t.time 0 time;
-        commit t ~time net target
+        commit t net target
       end
     end
   done;
@@ -464,6 +662,7 @@ let necessary_transitions t =
   !count
 
 let of_static st =
+  let time = [| 0.0 |] in
   let t =
     {
       st;
@@ -472,7 +671,6 @@ let of_static st =
       in_net = st.in_net;
       out_off = st.out_off;
       out_net = st.out_net;
-      out_delay = st.out_delay;
       fan_off = st.fan_off;
       fan_cell = st.fan_cell;
       driver = st.driver;
@@ -480,12 +678,12 @@ let of_static st =
       pending = Bytes.make st.n_nets '\003' (* none *);
       serials = Array.make st.n_nets 0;
       toggles = Array.make st.n_cells 0;
-      heap = Unboxed_heap.create ();
+      cal = Calendar.make ~now:time ~delay:st.out_delay;
       before = Bytes.make st.n_nets '\002';
       dirty = [||];
       n_dirty = 0;
       dirty_mark = Bytes.make st.n_nets '\000';
-      time = [| 0.0 |];
+      time;
       committed = 0;
       total = 0;
       evals = 0;

@@ -8,7 +8,7 @@
     the power-up initialisation schedule. The event loop then touches only
     these arrays plus [Bytes.t] value planes — no [Cell.eval] input/output
     array allocation, no [option] boxing for pending transitions, no boxed
-    queue entries (see {!Unboxed_heap}) — while committing {e exactly} the
+    queue entries (see {!Calendar}) — while committing {e exactly} the
     same event sequence as {!Reference}: same serial numbers, same
     tie-breaks, same toggle counts, same settled values. The differential
     suite in [test_logicsim.ml] holds the two kernels bitwise equal across
@@ -55,6 +55,54 @@ val logic_of_code : int -> Netlist.Logic.value
 val compile : Netlist.Circuit.t -> static
 (** Lower the circuit. Does not validate — {!create} runs
     {!Netlist.Check.assert_well_formed} first, like the reference kernel. *)
+
+(** {1 Event calendar} *)
+
+(** Bucket calendar of timed integer payloads: the queue the event kernel
+    schedules through.
+
+    The kernel only ever holds a handful of {e distinct} event times at
+    once (gate delays span a short horizon), so instead of a comparison
+    heap the calendar keeps a short sorted [float array] of distinct
+    times, each with a FIFO chain of nodes stored in flat [int] arrays:
+    popping is O(1) with no sift, pushing is a short scan from the back
+    of the sorted array, and steady-state operation never allocates
+    (popped nodes go on a free list; {!clear} frees them all in O(1)).
+
+    Pop order is the (time, insertion order) total order, exactly like
+    {!Event_queue}: entries at bit-identical times drain FIFO, buckets
+    drain in ascending time order, and a time that reappears after its
+    bucket drained sorts back into place. A kernel built on either queue
+    commits events in the same sequence. Times must not be NaN. Popping
+    deposits the entry into three scratch cells read with
+    {!top_time}/{!top_a}/{!top_b} instead of returning a tuple. *)
+module Calendar : sig
+  type t
+
+  val create : unit -> t
+
+  val length : t -> int
+  val is_empty : t -> bool
+
+  val clear : t -> unit
+  (** Drop every entry (capacity is kept). *)
+
+  val push : t -> time:float -> a:int -> b:int -> unit
+  (** Schedule payload words [a] and [b] at [time]. *)
+
+  val pop : t -> bool
+  (** Remove the earliest entry, exposing it through {!top_time},
+      {!top_a} and {!top_b}; [false] when the calendar is empty (scratch
+      cells are then stale). *)
+
+  val top_time : t -> float
+  val top_a : t -> int
+  val top_b : t -> int
+  (** The entry removed by the last successful {!pop}. *)
+
+  val peek_time : t -> float option
+  (** Earliest scheduled time without removing the entry. *)
+end
 
 (** {1 Event-driven kernel}
 

@@ -189,6 +189,7 @@ let store_stats_json store =
          ("puts", Json.Num (float_of_int s.puts));
          ("invalidated", Json.Bool s.invalidated);
          ("recovered", Json.Num (float_of_int s.recovered));
+         ("write_errors", Json.Num (float_of_int s.write_errors));
          ("log_bytes", Json.Num (float_of_int s.log_bytes));
          ("index_bytes", Json.Num (float_of_int s.index_bytes));
        ]))

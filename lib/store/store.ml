@@ -9,6 +9,7 @@ let c_invalid = Obs.Counter.make "store.invalidated"
 let c_recovered = Obs.Counter.make "store.recovered"
 let c_contention = Obs.Counter.make "store.lock_contention"
 let c_stale_lock = Obs.Counter.make "store.lock_stale"
+let c_write_error = Obs.Counter.make "store.write_errors"
 
 type mode = Read_write | Read_only
 
@@ -21,6 +22,7 @@ type stats = {
   puts : int;
   invalidated : bool;
   recovered : int;
+  write_errors : int;
   log_bytes : int;
   index_bytes : int;
 }
@@ -28,7 +30,8 @@ type stats = {
 type t = {
   dir : string;
   fp : string;
-  mode : mode;
+  mutable mode : mode;  (* a write failure degrades it to [Read_only] *)
+  locked : bool;  (* holds [LOCK], released by [close] *)
   table : (string * string, string) Hashtbl.t;
   mutable log_oc : out_channel option;  (* None once closed / read-only *)
   mutable dirty : bool;
@@ -39,6 +42,7 @@ type t = {
   mutable superseded : int;  (* log records a later put made dead *)
   mutable invalidated : bool;
   mutable recovered : int;
+  mutable write_errors : int;
   lock : Mutex.t;
 }
 
@@ -265,6 +269,7 @@ let open_ ?(readonly = false) ~path ~fingerprint () =
           dir = path;
           fp = fingerprint;
           mode;
+          locked = mode = Read_write;
           table = Hashtbl.create 256;
           log_oc = None;
           dirty = false;
@@ -275,6 +280,7 @@ let open_ ?(readonly = false) ~path ~fingerprint () =
           superseded = 0;
           invalidated = false;
           recovered = 0;
+          write_errors = 0;
           lock = Mutex.create ();
         }
       in
@@ -306,16 +312,27 @@ let find t ~ns key =
 
 let mem t ~ns key = Option.is_some (find t ~ns key)
 
+(* A failed write (full disk, I/O error) never reaches the caller: it is
+   counted and the store degrades to read-only — later puts are dropped,
+   flushes skipped — while finds keep serving the in-memory table and
+   [close] still releases the lock. *)
+let write_failed t =
+  t.write_errors <- t.write_errors + 1;
+  Obs.Counter.incr c_write_error;
+  t.mode <- Read_only;
+  (match t.log_oc with Some oc -> close_out_noerr oc | None -> ());
+  t.log_oc <- None
+
 let append_record t ~ns ~key ~value =
   match t.log_oc with
   | None -> ()
-  | Some oc ->
+  | Some oc -> (
       let buf = Buffer.create (String.length value + String.length key + 32) in
       add_record buf ~ns ~key ~value;
-      (try
-         Buffer.output_buffer oc buf;
-         flush oc
-       with Sys_error _ -> ())
+      try
+        Buffer.output_buffer oc buf;
+        flush oc
+      with Sys_error _ -> write_failed t)
 
 let put t ~ns key value =
   with_lock t (fun () ->
@@ -353,7 +370,7 @@ let flush_locked t =
     Hashtbl.iter
       (fun (ns, key) value -> add_record buf ~ns ~key ~value)
       t.table;
-    let ok =
+    let written =
       match
         Unix.openfile (tmp_file t)
           [ Unix.O_CREAT; Unix.O_TRUNC; Unix.O_WRONLY ]
@@ -364,25 +381,34 @@ let flush_locked t =
             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
               let s = Buffer.contents buf in
-              let n = Unix.write_substring fd s 0 (String.length s) in
-              (try Unix.fsync fd with Unix.Unix_error _ -> ());
-              n = String.length s)
+              try
+                Unix.write_substring fd s 0 (String.length s) = String.length s
+                && (Unix.fsync fd; true)
+              with Unix.Unix_error _ -> false)
       | exception Unix.Unix_error _ -> false
     in
-    if ok then begin
+    let renamed =
+      written
+      &&
       match Unix.rename (tmp_file t) (index_file t) with
-      | () ->
-          (match t.log_oc with Some oc -> close_out_noerr oc | None -> ());
-          t.log_oc <- None;
-          (try
-             let oc = open_out_bin (log_file t) in
-             output_string oc (header_line t.fp);
-             flush oc;
-             t.log_oc <- Some oc
-           with Sys_error _ -> ());
-          t.dirty <- false;
-          Obs.Counter.incr c_flush
-      | exception Unix.Unix_error _ -> ()
+      | () -> true
+      | exception Unix.Unix_error _ -> false
+    in
+    if renamed then begin
+      (match t.log_oc with Some oc -> close_out_noerr oc | None -> ());
+      t.log_oc <- None;
+      (try
+         let oc = open_out_bin (log_file t) in
+         output_string oc (header_line t.fp);
+         flush oc;
+         t.log_oc <- Some oc
+       with Sys_error _ -> write_failed t);
+      t.dirty <- false;
+      Obs.Counter.incr c_flush
+    end
+    else begin
+      (try Sys.remove (tmp_file t) with Sys_error _ -> ());
+      write_failed t
     end
   end
 
@@ -413,7 +439,7 @@ let close t =
         (match t.log_oc with Some oc -> close_out_noerr oc | None -> ());
         t.log_oc <- None;
         t.closed <- true;
-        if t.mode = Read_write then
+        if t.locked then
           try Sys.remove (lock_file t.dir) with Sys_error _ -> ()
       end)
 
@@ -433,6 +459,7 @@ let stats t =
         puts = t.puts;
         invalidated = t.invalidated;
         recovered = t.recovered;
+        write_errors = t.write_errors;
         log_bytes = file_size (log_file t);
         index_bytes = file_size (index_file t);
       })

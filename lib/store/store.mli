@@ -24,7 +24,9 @@ type t
 
 type mode =
   | Read_write  (** Holds the lock; puts are persisted. *)
-  | Read_only  (** Lock contention fallback; puts are dropped. *)
+  | Read_only
+      (** Lock contention fallback, or the state a failed write (full
+          disk, I/O error) leaves behind; puts are dropped. *)
 
 type stats = {
   path : string;
@@ -35,6 +37,9 @@ type stats = {
   puts : int;  (** Value-changing {!put}s since open. *)
   invalidated : bool;  (** Open discarded a stale-fingerprint store. *)
   recovered : int;  (** Torn/corrupt records dropped at open. *)
+  write_errors : int;
+      (** Failed log appends and snapshot writes since open; the first one
+          degrades the store to {!Read_only}. *)
   log_bytes : int;  (** Current size of the append log. *)
   index_bytes : int;  (** Current size of the snapshot. *)
 }
@@ -66,7 +71,10 @@ val entries : t -> int
 
 val flush : t -> unit
 (** Compact into a fresh snapshot (write-temp, [fsync], [rename]) and
-    reset the log. No-op when nothing changed or {!Read_only}. *)
+    reset the log. No-op when nothing changed or {!Read_only}. Never
+    raises: a failed write or [fsync] is counted ([store.write_errors])
+    and degrades the store to {!Read_only}, like a failed log append in
+    {!put}. *)
 
 val gc : t -> int
 (** {!flush}, returning how many superseded log records the compaction
@@ -76,7 +84,8 @@ val clear : t -> unit
 (** Drop every entry and persist the empty state. *)
 
 val close : t -> unit
-(** {!flush} if dirty, release the lock, close descriptors. The handle
-    must not be used afterwards; [close] is idempotent. *)
+(** {!flush} if dirty, release the lock (also after a write failure
+    degraded the store), close descriptors. The handle must not be used
+    afterwards; [close] is idempotent. *)
 
 val stats : t -> stats

@@ -354,62 +354,110 @@ let test_faults_reject_sequential () =
     | _ -> false
     | exception Failure _ -> true)
 
-(* Unboxed heap — the struct-of-arrays core both kernels schedule through;
-   same contract as Event_queue, so the same ordering tests apply. *)
+(* Event calendar — the flat-array queue the compiled kernel schedules
+   through; same contract as Event_queue, so the same ordering tests
+   apply. *)
 
-module Uheap = Logicsim.Unboxed_heap
+module Cal = Logicsim.Compiled.Calendar
 
-let test_uheap_ordering () =
-  let h = Uheap.create () in
-  Uheap.push h ~time:3.0 ~a:30 ~b:300;
-  Uheap.push h ~time:1.0 ~a:10 ~b:100;
-  Uheap.push h ~time:2.0 ~a:20 ~b:200;
-  let pop () =
-    if not (Uheap.pop h) then Alcotest.fail "heap empty";
-    (Uheap.top_time h, Uheap.top_a h, Uheap.top_b h)
-  in
-  Alcotest.(check (triple (float 0.0) int int)) "first" (1.0, 10, 100) (pop ());
-  Alcotest.(check (triple (float 0.0) int int)) "second" (2.0, 20, 200) (pop ());
-  Alcotest.(check (triple (float 0.0) int int)) "third" (3.0, 30, 300) (pop ());
-  Alcotest.(check bool) "empty" true (Uheap.is_empty h);
-  Alcotest.(check bool) "pop on empty" false (Uheap.pop h)
+let pop_entry h =
+  if not (Cal.pop h) then Alcotest.fail "calendar empty";
+  (Cal.top_time h, Cal.top_a h, Cal.top_b h)
 
-let test_uheap_fifo_ties () =
-  let h = Uheap.create () in
-  List.iter (fun k -> Uheap.push h ~time:1.0 ~a:k ~b:0) [ 0; 1; 2 ];
+let entry_t = Alcotest.(triple (float 0.0) int int)
+
+let test_calendar_ordering () =
+  let h = Cal.create () in
+  Cal.push h ~time:3.0 ~a:30 ~b:300;
+  Cal.push h ~time:1.0 ~a:10 ~b:100;
+  Cal.push h ~time:2.0 ~a:20 ~b:200;
+  Alcotest.check entry_t "first" (1.0, 10, 100) (pop_entry h);
+  Alcotest.check entry_t "second" (2.0, 20, 200) (pop_entry h);
+  Alcotest.check entry_t "third" (3.0, 30, 300) (pop_entry h);
+  Alcotest.(check bool) "empty" true (Cal.is_empty h);
+  Alcotest.(check bool) "pop on empty" false (Cal.pop h)
+
+let test_calendar_fifo_ties () =
+  let h = Cal.create () in
+  List.iter (fun k -> Cal.push h ~time:1.0 ~a:k ~b:0) [ 0; 1; 2 ];
   let order =
     List.init 3 (fun _ ->
-        if Uheap.pop h then Uheap.top_a h else -1)
+        if Cal.pop h then Cal.top_a h else -1)
   in
   Alcotest.(check (list int)) "insertion order on ties" [ 0; 1; 2 ] order
 
-let test_uheap_peek_clear () =
-  let h = Uheap.create () in
-  Alcotest.(check (option (float 0.0))) "empty peek" None (Uheap.peek_time h);
-  Uheap.push h ~time:5.0 ~a:1 ~b:2;
-  Uheap.push h ~time:4.0 ~a:3 ~b:4;
-  Alcotest.(check (option (float 0.0))) "peek" (Some 4.0) (Uheap.peek_time h);
-  Alcotest.(check int) "length" 2 (Uheap.length h);
-  Uheap.clear h;
-  Alcotest.(check bool) "cleared" true (Uheap.is_empty h);
-  (* The tie-break counter resets too: fresh pushes pop in fresh order. *)
-  Uheap.push h ~time:1.0 ~a:7 ~b:0;
-  Alcotest.(check bool) "usable after clear" true (Uheap.pop h);
-  Alcotest.(check int) "payload survives" 7 (Uheap.top_a h)
+let test_calendar_peek_clear () =
+  let h = Cal.create () in
+  Alcotest.(check (option (float 0.0))) "empty peek" None (Cal.peek_time h);
+  Cal.push h ~time:5.0 ~a:1 ~b:2;
+  Cal.push h ~time:4.0 ~a:3 ~b:4;
+  Alcotest.(check (option (float 0.0))) "peek" (Some 4.0) (Cal.peek_time h);
+  Alcotest.(check int) "length" 2 (Cal.length h);
+  Cal.clear h;
+  Alcotest.(check bool) "cleared" true (Cal.is_empty h);
+  Alcotest.(check (option (float 0.0))) "peek after clear" None
+    (Cal.peek_time h);
+  (* Nothing from before the clear resurfaces: fresh pushes pop in fresh
+     order. *)
+  Cal.push h ~time:1.0 ~a:7 ~b:0;
+  Alcotest.(check bool) "usable after clear" true (Cal.pop h);
+  Alcotest.(check int) "payload survives" 7 (Cal.top_a h);
+  Alcotest.(check bool) "only the fresh entry" false (Cal.pop h)
 
-let prop_uheap_sorted =
-  QCheck.Test.make ~name:"unboxed heap pops time-sorted, ties FIFO" ~count:200
+(* A time whose bucket drained and retired comes back while a later
+   bucket is still pending: it must sort back in front of that bucket,
+   and its old, freed nodes must not leak into the new chain. *)
+let test_calendar_time_reappears () =
+  let h = Cal.create () in
+  Cal.push h ~time:1.0 ~a:1 ~b:10;
+  Cal.push h ~time:1.0 ~a:2 ~b:20;
+  Cal.push h ~time:2.0 ~a:3 ~b:30;
+  Alcotest.check entry_t "first at 1" (1.0, 1, 10) (pop_entry h);
+  Alcotest.check entry_t "second at 1" (1.0, 2, 20) (pop_entry h);
+  (* Bucket 1.0 has retired; 1.0 reappears ahead of 2.0, twice. *)
+  Cal.push h ~time:1.0 ~a:4 ~b:40;
+  Cal.push h ~time:1.0 ~a:5 ~b:50;
+  Cal.push h ~time:2.0 ~a:6 ~b:60;
+  Alcotest.(check (option (float 0.0))) "reappeared time at the front"
+    (Some 1.0) (Cal.peek_time h);
+  Alcotest.check entry_t "reappeared, FIFO 1" (1.0, 4, 40) (pop_entry h);
+  Alcotest.check entry_t "reappeared, FIFO 2" (1.0, 5, 50) (pop_entry h);
+  Alcotest.check entry_t "older 2.0 entry first" (2.0, 3, 30) (pop_entry h);
+  Alcotest.check entry_t "then the newer one" (2.0, 6, 60) (pop_entry h);
+  Alcotest.(check bool) "drained" false (Cal.pop h)
+
+(* One bucket far past the initial node capacity (64 nodes), interleaved
+   with a second bucket so the chains share the grown node arrays. *)
+let test_calendar_bucket_outgrows_capacity () =
+  let h = Cal.create () in
+  let n = 1000 in
+  for k = 0 to n - 1 do
+    Cal.push h ~time:5.0 ~a:k ~b:(-k);
+    if k mod 10 = 0 then Cal.push h ~time:3.0 ~a:(n + k) ~b:0
+  done;
+  Alcotest.(check int) "length" (n + (n / 10)) (Cal.length h);
+  for k = 0 to (n / 10) - 1 do
+    Alcotest.check entry_t "earlier bucket, FIFO" (3.0, n + (10 * k), 0)
+      (pop_entry h)
+  done;
+  for k = 0 to n - 1 do
+    Alcotest.check entry_t "big bucket, FIFO" (5.0, k, -k) (pop_entry h)
+  done;
+  Alcotest.(check bool) "drained" true (Cal.is_empty h)
+
+let prop_calendar_sorted =
+  QCheck.Test.make ~name:"calendar pops time-sorted, ties FIFO" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 9))
     (fun raw ->
       (* Coarse integer times force plenty of ties. *)
-      let h = Uheap.create () in
+      let h = Cal.create () in
       List.iteri
-        (fun i t -> Uheap.push h ~time:(float_of_int t) ~a:i ~b:(i * 2))
+        (fun i t -> Cal.push h ~time:(float_of_int t) ~a:i ~b:(i * 2))
         raw;
       let rec drain last_time last_a =
-        if not (Uheap.pop h) then true
+        if not (Cal.pop h) then true
         else begin
-          let t = Uheap.top_time h and a = Uheap.top_a h in
+          let t = Cal.top_time h and a = Cal.top_a h in
           if t < last_time then false
           else if t = last_time && a <= last_a then false
           else drain t a
@@ -462,6 +510,47 @@ let differential_arch label () =
     "per-cell toggles" (Ref.cell_toggles r) (Sim.cell_toggles sim);
   Alcotest.(check (array value_t))
     "settled net values" (Ref.snapshot_values r) (Sim.snapshot_values sim)
+
+(* Allocation tripwire: after warm-up, the event loop allocates (almost)
+   nothing per committed event. Neither a push nor a pop may box a float
+   or allocate a node, across the whole activity-style cycle (bus drives,
+   settles, clock edges) of the 8-bit signed radix-4 Booth substrate. The
+   budget is under one minor word per event; the kernel measures 0.07,
+   the residue of per-cycle work outside the event loop (a calendar in
+   another compilation unit, taking and returning boxed floats, measured
+   4.4). *)
+let test_event_loop_allocation () =
+  let spec =
+    Multipliers.Booth.generate ~signedness:Multipliers.Booth.Signed ~radix:4
+      ~bits:8 ()
+  in
+  let sim = Multipliers.Harness.fresh_simulator spec in
+  let rng = Numerics.Rng.create 11 in
+  let bound = 1 lsl spec.Multipliers.Spec.bits in
+  let cycle () =
+    Logicsim.Bus.drive sim spec.Multipliers.Spec.a_bus (Numerics.Rng.int rng bound);
+    Logicsim.Bus.drive sim spec.Multipliers.Spec.b_bus (Numerics.Rng.int rng bound);
+    Sim.settle sim;
+    for _ = 1 to spec.Multipliers.Spec.ticks_per_cycle do
+      Sim.clock_tick sim;
+      Sim.settle sim
+    done
+  in
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  let events0 = Sim.events_processed sim in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to 200 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. words0 in
+  let events = Sim.events_processed sim - events0 in
+  Alcotest.(check bool) "events committed" true (events > 10_000);
+  let per_event = words /. float_of_int events in
+  if per_event >= 1.0 then
+    Alcotest.failf "%.2f minor words per committed event (%d events)"
+      per_event events
 
 (* Glitch-ratio differential: Activity.measure (incremental dirty-set
    accounting on the compiled kernel) against a straight transcription of
@@ -789,13 +878,17 @@ let () =
           Alcotest.test_case "peek" `Quick test_queue_peek;
         ]
         @ qsuite [ prop_queue_sorts ] );
-      ( "unboxed_heap",
+      ( "calendar",
         [
-          Alcotest.test_case "ordering" `Quick test_uheap_ordering;
-          Alcotest.test_case "fifo ties" `Quick test_uheap_fifo_ties;
-          Alcotest.test_case "peek/clear" `Quick test_uheap_peek_clear;
+          Alcotest.test_case "ordering" `Quick test_calendar_ordering;
+          Alcotest.test_case "fifo ties" `Quick test_calendar_fifo_ties;
+          Alcotest.test_case "peek/clear" `Quick test_calendar_peek_clear;
+          Alcotest.test_case "time reappears after retiring" `Quick
+            test_calendar_time_reappears;
+          Alcotest.test_case "bucket outgrows node capacity" `Quick
+            test_calendar_bucket_outgrows_capacity;
         ]
-        @ qsuite [ prop_uheap_sorted ] );
+        @ qsuite [ prop_calendar_sorted ] );
       ( "simulator",
         [
           Alcotest.test_case "propagation" `Quick test_propagation;
@@ -806,6 +899,8 @@ let () =
           Alcotest.test_case "dff capture/init" `Quick test_dff_capture_and_init;
           Alcotest.test_case "dff chain shifts" `Quick test_dff_chain_shifts;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "event loop allocation" `Quick
+            test_event_loop_allocation;
         ] );
       ( "bus",
         [

@@ -429,6 +429,267 @@ let test_placement_refined_stats () =
   Alcotest.(check bool) "net length sane" true
     (r.avg_net_length > 0.1 && r.avg_net_length < 1000.0)
 
+(* Placement oracle: the list-based placer as it stood before the CSR
+   rewrite — boxed (x, y) pin lists, [Float.min]/[Float.max] bounding
+   boxes, every net of both cells re-measured per swap, nets per cell
+   deduplicated with [List.mem] — kept here to hold the production placer
+   to the same bits. It also counts rejected swaps whose two cells share
+   a net: the case where the production length cache must restore a net
+   saved twice. *)
+
+module Oracle_placement = struct
+  let flow_order circuit =
+    let count = C.cell_count circuit in
+    let fanout = C.fanout circuit in
+    let seen = Array.make count false in
+    let order = ref [] in
+    let queue = Queue.create () in
+    let enqueue id =
+      if not seen.(id) then begin
+        seen.(id) <- true;
+        Queue.add id queue
+      end
+    in
+    List.iter
+      (fun n -> List.iter (fun (id, _) -> enqueue id) fanout.(n))
+      (C.primary_inputs circuit);
+    C.iter_cells
+      (fun (cell : C.cell) -> if Array.length cell.inputs = 0 then enqueue cell.id)
+      circuit;
+    let drain () =
+      while not (Queue.is_empty queue) do
+        let id = Queue.pop queue in
+        order := id :: !order;
+        let cell = C.get_cell circuit id in
+        Array.iter
+          (fun n -> List.iter (fun (reader, _) -> enqueue reader) fanout.(n))
+          cell.outputs
+      done
+    in
+    drain ();
+    C.iter_cells (fun (cell : C.cell) -> enqueue cell.id) circuit;
+    drain ();
+    List.rev !order
+
+  let grid_geometry circuit =
+    let total_area =
+      C.fold_cells (fun acc (cell : C.cell) -> acc +. Cell.area cell.kind) 0.0
+        circuit
+    in
+    let side = Float.max 1.0 (sqrt total_area) in
+    let count = max 1 (C.cell_count circuit) in
+    let avg_width = total_area /. float_of_int count /. 3.0 in
+    let sites_per_row =
+      max 1 (int_of_float (side /. Float.max 0.1 avg_width))
+    in
+    (sites_per_row, Float.max 0.1 avg_width, 3.0)
+
+  let positions_of_order circuit order =
+    let count = C.cell_count circuit in
+    let xs = Array.make count 0.0 and ys = Array.make count 0.0 in
+    let sites_per_row, site_width, row_height = grid_geometry circuit in
+    List.iteri
+      (fun slot id ->
+        let row = slot / sites_per_row and col = slot mod sites_per_row in
+        xs.(id) <- (float_of_int col +. 0.5) *. site_width;
+        ys.(id) <- (float_of_int row +. 0.5) *. row_height)
+      order;
+    (xs, ys)
+
+  let hpwl circuit xs ys fanout net =
+    let points = ref [] in
+    (match C.driver circuit net with
+    | Some (id, _) -> points := (xs.(id), ys.(id)) :: !points
+    | None -> ());
+    List.iter (fun (id, _) -> points := (xs.(id), ys.(id)) :: !points) fanout;
+    match !points with
+    | [] | [ _ ] -> 0.0
+    | (x0, y0) :: rest ->
+      let fold f init sel = List.fold_left (fun a p -> f a (sel p)) init rest in
+      let x_min = fold Float.min x0 fst and x_max = fold Float.max x0 fst in
+      let y_min = fold Float.min y0 snd and y_max = fold Float.max y0 snd in
+      x_max -. x_min +. (y_max -. y_min)
+
+  let cell_cost circuit xs ys fanout nets_of_cell id =
+    Numerics.Kahan.sum_by
+      (fun n -> hpwl circuit xs ys fanout.(n) n)
+      nets_of_cell.(id)
+
+  let shared_rejects = ref 0
+
+  let place ~seed ~improvement_passes circuit =
+    let order = flow_order circuit in
+    let xs, ys = positions_of_order circuit order in
+    let fanout = C.fanout circuit in
+    let count = C.cell_count circuit in
+    let nets_of_cell = Array.make count [] in
+    C.iter_cells
+      (fun (cell : C.cell) ->
+        let add n =
+          if not (List.mem n nets_of_cell.(cell.id)) then
+            nets_of_cell.(cell.id) <- n :: nets_of_cell.(cell.id)
+        in
+        Array.iter add cell.inputs;
+        Array.iter add cell.outputs)
+      circuit;
+    let rng = Numerics.Rng.create seed in
+    let swap a b =
+      let x = xs.(a) and y = ys.(a) in
+      xs.(a) <- xs.(b);
+      ys.(a) <- ys.(b);
+      xs.(b) <- x;
+      ys.(b) <- y
+    in
+    if count > 1 then
+      for _ = 1 to improvement_passes do
+        for _ = 1 to count do
+          let a = Numerics.Rng.int rng count in
+          let b = Numerics.Rng.int rng count in
+          if a <> b then begin
+            let before =
+              cell_cost circuit xs ys fanout nets_of_cell a
+              +. cell_cost circuit xs ys fanout nets_of_cell b
+            in
+            swap a b;
+            let after =
+              cell_cost circuit xs ys fanout nets_of_cell a
+              +. cell_cost circuit xs ys fanout nets_of_cell b
+            in
+            if after > before then begin
+              swap a b;
+              if
+                List.exists
+                  (fun n -> List.mem n nets_of_cell.(b))
+                  nets_of_cell.(a)
+              then incr shared_rejects
+            end
+          end
+        done
+      done;
+    (xs, ys)
+
+  let lengths circuit xs ys =
+    let fanout = C.fanout circuit in
+    List.init (C.net_count circuit) (fun net -> hpwl circuit xs ys fanout.(net) net)
+
+  let total_wirelength circuit xs ys = Numerics.Kahan.sum_list (lengths circuit xs ys)
+
+  (* [refine_stats]'s four float fields. *)
+  let refine_floats circuit xs ys =
+    let base = Netlist.Stats.compute circuit in
+    let wire = Numerics.Kahan.create () and length = Numerics.Kahan.create () in
+    List.iter
+      (fun l ->
+        Numerics.Kahan.add length l;
+        Numerics.Kahan.add wire (Netlist.Placement.wire_cap_per_um *. l))
+      (lengths circuit xs ys);
+    let total_wire_cap = Numerics.Kahan.sum wire in
+    let n = float_of_int (max 1 base.cell_total) in
+    let cell_cap_total = base.avg_switched_cap *. n in
+    [
+      total_wire_cap;
+      (cell_cap_total +. total_wire_cap) /. n;
+      total_wire_cap /. (cell_cap_total +. total_wire_cap);
+      Numerics.Kahan.sum length /. float_of_int (max 1 (C.net_count circuit));
+    ]
+end
+
+let bits_list = List.map Int64.bits_of_float
+
+let check_placement_matches_oracle label circuit ~seed ~improvement_passes =
+  let module P = Netlist.Placement in
+  let xs, ys = Oracle_placement.place ~seed ~improvement_passes circuit in
+  let p = P.place ~seed ~improvement_passes circuit in
+  let label = Printf.sprintf "%s seed %d passes %d" label seed improvement_passes in
+  let got_x = ref [] and got_y = ref [] in
+  for id = C.cell_count circuit - 1 downto 0 do
+    let x, y = P.position p id in
+    got_x := x :: !got_x;
+    got_y := y :: !got_y
+  done;
+  Alcotest.(check (list int64)) (label ^ ": x") (bits_list (Array.to_list xs))
+    (bits_list !got_x);
+  Alcotest.(check (list int64)) (label ^ ": y") (bits_list (Array.to_list ys))
+    (bits_list !got_y);
+  Alcotest.(check (list int64)) (label ^ ": net lengths")
+    (bits_list (Oracle_placement.lengths circuit xs ys))
+    (bits_list (List.init (C.net_count circuit) (P.net_length p)));
+  Alcotest.(check int64) (label ^ ": total wirelength")
+    (Int64.bits_of_float (Oracle_placement.total_wirelength circuit xs ys))
+    (Int64.bits_of_float (P.total_wirelength p));
+  let r = P.refine_stats circuit p in
+  Alcotest.(check (list int64)) (label ^ ": refine_stats")
+    (bits_list (Oracle_placement.refine_floats circuit xs ys))
+    (bits_list
+       [ r.total_wire_cap; r.avg_cap_with_wires; r.wire_cap_share; r.avg_net_length ])
+
+(* The explorer's generator call for one substrate. *)
+let build_substrate ~bits (sub : Power_core.Explorer.substrate) =
+  match sub.family with
+  | Power_core.Explorer.Booth ->
+    Multipliers.Booth.generate ~signedness:sub.signedness ~stages:sub.stages
+      ~radix:sub.radix ~bits ()
+  | Power_core.Explorer.Dadda ->
+    Multipliers.Spec_optimize.run (Multipliers.Dadda.basic ~bits)
+  | Power_core.Explorer.Wallace ->
+    Multipliers.Spec_optimize.run
+      (if sub.stages <= 1 then Multipliers.Wallace.basic ~bits
+       else Multipliers.Wallace.pipelined ~bits ~stages:sub.stages)
+
+(* Every explorer substrate at 6 and 8 bits, signed and unsigned, seeds
+   1–3, 0–3 improvement passes. *)
+let test_placement_oracle_substrates () =
+  let module E = Power_core.Explorer in
+  Oracle_placement.shared_rejects := 0;
+  List.iter
+    (fun bits ->
+      let axes =
+        { E.default_axes with
+          bits;
+          signednesses = [ Multipliers.Booth.Unsigned; Multipliers.Booth.Signed ] }
+      in
+      List.iter
+        (fun (sub : E.substrate) ->
+          let spec = build_substrate ~bits sub in
+          let label =
+            Printf.sprintf "%s r%d %s s%d %d-bit" (E.family_name sub.family)
+              sub.radix
+              (match sub.signedness with
+              | Multipliers.Booth.Signed -> "signed"
+              | Multipliers.Booth.Unsigned -> "unsigned")
+              sub.stages bits
+          in
+          for seed = 1 to 3 do
+            for improvement_passes = 0 to 3 do
+              check_placement_matches_oracle label spec.circuit ~seed
+                ~improvement_passes
+            done
+          done)
+        (E.substrate_combos axes))
+    [ 6; 8 ];
+  Alcotest.(check bool) "some rejected swaps share a net" true
+    (!Oracle_placement.shared_rejects > 0)
+
+(* Rejected swaps of two cells that share a net, the case where the
+   length cache saves a net twice and must restore it in reverse order:
+   in this five-cell chain most cell pairs share a net. *)
+let test_placement_oracle_shared_net_swap () =
+  let c = C.create "chain" in
+  let x = C.add_input c "x" in
+  let n1 = C.add_gate c Cell.Inv [| x |] in
+  let n2 = C.add_gate c Cell.Inv [| n1 |] in
+  let n3 = C.add_gate c Cell.Nand2 [| n2; n1 |] in
+  let y = C.add_gate c Cell.Xor2 [| n3; x |] in
+  C.mark_output c y "y";
+  Oracle_placement.shared_rejects := 0;
+  for seed = 1 to 3 do
+    for improvement_passes = 0 to 3 do
+      check_placement_matches_oracle "chain" c ~seed ~improvement_passes
+    done
+  done;
+  Alcotest.(check bool) "a rejected swap shared a net" true
+    (!Oracle_placement.shared_rejects > 0)
+
 (* Optimize *)
 
 let test_optimize_folds_constants () =
@@ -744,6 +1005,10 @@ let () =
             test_placement_improvement_helps;
           Alcotest.test_case "single pin net" `Quick test_placement_single_pin_net;
           Alcotest.test_case "refined stats" `Quick test_placement_refined_stats;
+          Alcotest.test_case "oracle: shared-net swap" `Quick
+            test_placement_oracle_shared_net_swap;
+          Alcotest.test_case "oracle: every explorer substrate" `Quick
+            test_placement_oracle_substrates;
         ] );
       ( "bdd",
         [

@@ -213,6 +213,53 @@ let test_fingerprint_invalidation () =
         (Store.find b2 ~ns:"n" "k1");
       Store.close b2)
 
+(* A full disk: [index.tmp] symlinked to /dev/full makes the snapshot
+   write fail with ENOSPC. Neither [flush] nor [close] may raise; the
+   failure is counted, the store degrades to read-only, finds keep
+   serving, [close] still releases the lock, and the put that reached the
+   log survives a reopen. *)
+let test_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      with_dir (fun dir ->
+          let t = open_rw dir in
+          Unix.symlink "/dev/full" (Filename.concat dir "index.tmp");
+          Store.put t ~ns:"d" "k" "v";
+          (match Store.flush t with
+          | () -> ()
+          | exception e ->
+              Alcotest.failf "flush raised %s" (Printexc.to_string e));
+          Alcotest.(check int) "one write error" 1
+            (Store.stats t).Store.write_errors;
+          Alcotest.(check bool) "counter store.write_errors ticked" true
+            (Obs.counter_value "store.write_errors" > 0);
+          Alcotest.(check bool) "degraded to read-only" true
+            (Store.mode t = Store.Read_only);
+          Alcotest.(check (option string)) "finds keep serving" (Some "v")
+            (Store.find t ~ns:"d" "k");
+          Store.put t ~ns:"d" "k2" "v2";
+          Alcotest.(check (option string)) "puts are dropped" None
+            (Store.find t ~ns:"d" "k2");
+          (match Store.close t with
+          | () -> ()
+          | exception e ->
+              Alcotest.failf "close raised %s" (Printexc.to_string e));
+          Alcotest.(check bool) "close released the lock" false
+            (Sys.file_exists (Filename.concat dir "LOCK"));
+          let t2 = open_rw dir in
+          Alcotest.(check bool) "reopens read-write" true
+            (Store.mode t2 = Store.Read_write);
+          Alcotest.(check (option string)) "the logged put survived"
+            (Some "v")
+            (Store.find t2 ~ns:"d" "k");
+          Store.close t2))
+
 (* ------------------------------ round-trip ----------------------------- *)
 
 let test_roundtrip_basic () =
@@ -537,6 +584,8 @@ let () =
             test_corruption_recovery;
           Alcotest.test_case "fingerprint change invalidates" `Quick
             test_fingerprint_invalidation;
+          Alcotest.test_case "full disk: no raise, read-only, lock released"
+            `Quick test_full_disk;
         ] );
       ( "roundtrip",
         [
