@@ -132,9 +132,7 @@ let bench_diag_cyclesonly =
       for _ = 1 to 26 do
         Logicsim.Bus.drive sim spec.a_bus (Numerics.Rng.int rng 65536);
         Logicsim.Bus.drive sim spec.b_bus (Numerics.Rng.int rng 65536);
-        Logicsim.Simulator.settle sim;
-        Logicsim.Simulator.clock_tick sim;
-        Logicsim.Simulator.settle sim
+        Logicsim.Compiled.data_cycle sim ~ticks:1
       done)
 
 let bench_diag_cycles_reference =
@@ -142,19 +140,19 @@ let bench_diag_cycles_reference =
   let drive_ref sim bus value =
     Array.iteri
       (fun i net ->
-        Logicsim.Reference.set_input sim net
+        Oracle.Reference.set_input sim net
           (Netlist.Logic.of_bool ((value lsr i) land 1 = 1)))
       bus
   in
   make_bench ~limit:60 "diag:cycles-only-wallace16-reference" (fun () ->
-      let sim = Logicsim.Reference.create spec.circuit in
+      let sim = Oracle.Reference.create spec.circuit in
       let rng = Numerics.Rng.create 7 in
       for _ = 1 to 26 do
         drive_ref sim spec.a_bus (Numerics.Rng.int rng 65536);
         drive_ref sim spec.b_bus (Numerics.Rng.int rng 65536);
-        Logicsim.Reference.settle sim;
-        Logicsim.Reference.clock_tick sim;
-        Logicsim.Reference.settle sim
+        Oracle.Reference.settle sim;
+        Oracle.Reference.clock_tick sim;
+        Oracle.Reference.settle sim
       done)
 
 let bench_activity_many =

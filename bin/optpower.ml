@@ -200,6 +200,25 @@ let table1_row ~cmd label =
   | None ->
     invalid_params ~cmd "unknown architecture %S (see Table 1 labels)" label
 
+let catalog_entry ~cmd label =
+  match Multipliers.Catalog.find label with
+  | entry -> entry
+  | exception Not_found ->
+    invalid_params ~cmd "unknown architecture %S (see catalog labels)" label
+
+let check_int_at_least ~cmd name ~min value =
+  if value < min then invalid_params ~cmd "%S must be an integer >= %d" name min
+
+(* [prove] and [faults] build every core, Booth's included, which takes
+   even widths from 4 up. *)
+let check_core_bits ~cmd bits =
+  check_int_at_least ~cmd "bits" ~min:4 bits;
+  if bits mod 2 <> 0 then invalid_params ~cmd "\"bits\" must be even"
+
+let check_positive ~cmd what value =
+  if not (Float.is_finite value && value > 0.0) then
+    invalid_params ~cmd "%s must be finite and > 0" what
+
 (* Validate argv exactly as the service validates a frame (minus the
    service limits); invalid input is a usage error. *)
 let validate ~cmd meth params =
@@ -301,6 +320,9 @@ let fig1_cmd =
   in
   let run jobs obs activities =
     set_jobs jobs;
+    Option.iter
+      (List.iter (check_positive ~cmd:"fig1" "\"activities\" entries"))
+      activities;
     with_obs obs @@ fun () ->
     print (Report.Experiments.render_figure1 (Report.Experiments.figure1 ?activities ()))
   in
@@ -313,6 +335,7 @@ let fig2_cmd =
     Arg.(value & opt float 1.5 & info [ "alpha" ] ~doc)
   in
   let run alpha =
+    check_positive ~cmd:"fig2" "\"alpha\"" alpha;
     print (Report.Experiments.render_figure2 (Report.Experiments.figure2 ~alpha ()))
   in
   let doc = "Reproduce Figure 2 (Vdd^(1/alpha) linearisation)." in
@@ -326,6 +349,8 @@ let sketch_cmd =
     Arg.(value & opt int 2 & info [ "stages" ] ~doc:"Pipeline stages.")
   in
   let run bits stages =
+    check_int_at_least ~cmd:"sketch" "bits" ~min:2 bits;
+    check_int_at_least ~cmd:"sketch" "stages" ~min:1 stages;
     print
       (Report.Experiments.pipeline_sketch ~bits ~stages
          ~cut:Multipliers.Rca.Horizontal);
@@ -343,6 +368,7 @@ let scratch_cmd =
   in
   let run jobs obs cycles =
     set_jobs jobs;
+    check_int_at_least ~cmd:"scratch" "cycles" ~min:1 cycles;
     with_obs obs @@ fun () ->
     print (Report.Experiments.render_scratch (Report.Experiments.scratch ~cycles ()))
   in
@@ -455,6 +481,7 @@ let prove_cmd =
                                                    multipliers grow fast).")
   in
   let run bits =
+    check_core_bits ~cmd:"prove" bits;
     let build name core =
       let c = Netlist.Circuit.create name in
       let a = Netlist.Circuit.add_input_bus c "a" bits in
@@ -498,6 +525,8 @@ let faults_cmd =
     Arg.(value & opt int 32 & info [ "vectors" ] ~doc:"Random test vectors.")
   in
   let run bits vectors =
+    check_core_bits ~cmd:"faults" bits;
+    check_int_at_least ~cmd:"faults" "vectors" ~min:1 vectors;
     let build core =
       let c = Netlist.Circuit.create "dut" in
       let a = Netlist.Circuit.add_input_bus c "a" bits in
@@ -545,6 +574,7 @@ let explore_cmd =
   in
   let run jobs obs call catalog cycles store_path no_store =
     set_jobs jobs;
+    Option.iter (check_int_at_least ~cmd:"explore" "cycles" ~min:1) cycles;
     with_obs obs @@ fun () ->
     if catalog then
       print
@@ -584,7 +614,7 @@ let export_cmd =
            ~doc:"Output path (default: stdout).")
   in
   let run label out =
-    let entry = Multipliers.Catalog.find label in
+    let entry = catalog_entry ~cmd:"export" label in
     let spec = entry.build () in
     match out with
     | Some path ->
@@ -609,7 +639,8 @@ let vcd_cmd =
     Arg.(value & opt int 16 & info [ "cycles" ] ~doc:"Data cycles to record.")
   in
   let run label out cycles =
-    let entry = Multipliers.Catalog.find label in
+    let entry = catalog_entry ~cmd:"vcd" label in
+    check_int_at_least ~cmd:"vcd" "cycles" ~min:1 cycles;
     let spec = entry.build () in
     let sim = Multipliers.Harness.fresh_simulator spec in
     let nets =
@@ -622,11 +653,7 @@ let vcd_cmd =
     for cycle = 0 to cycles - 1 do
       Logicsim.Bus.drive sim spec.a_bus (Numerics.Rng.int rng bound);
       Logicsim.Bus.drive sim spec.b_bus (Numerics.Rng.int rng bound);
-      Logicsim.Simulator.settle sim;
-      for _ = 1 to spec.ticks_per_cycle do
-        Logicsim.Simulator.clock_tick sim;
-        Logicsim.Simulator.settle sim
-      done;
+      Logicsim.Compiled.data_cycle sim ~ticks:spec.ticks_per_cycle;
       Logicsim.Vcd.sample vcd ~time:(float_of_int (cycle * 10))
     done;
     Logicsim.Vcd.write_file ~path:out vcd;
@@ -647,7 +674,8 @@ let trace_cmd =
          & info [ "o" ] ~docv:"FILE" ~doc:"Write the CSV here.")
   in
   let run label cycles out =
-    let entry = Multipliers.Catalog.find label in
+    let entry = catalog_entry ~cmd:"trace" label in
+    check_int_at_least ~cmd:"trace" "cycles" ~min:1 cycles;
     let spec = entry.build () in
     let sim = Multipliers.Harness.fresh_simulator spec in
     let rng = Numerics.Rng.create 23 in
@@ -681,6 +709,7 @@ let check_cmd =
     Arg.(value & opt int 4 & info [ "samples" ] ~doc:"Random pairs per design.")
   in
   let run samples =
+    check_int_at_least ~cmd:"check" "samples" ~min:0 samples;
     let all = Multipliers.Catalog.entries @ Multipliers.Catalog.extensions in
     let failures = ref 0 in
     List.iter
@@ -738,8 +767,7 @@ let variation_cmd =
   let run jobs obs label samples =
     set_jobs jobs;
     let row = table1_row ~cmd:"variation" label in
-    if samples < 2 then
-      invalid_params ~cmd:"variation" "\"samples\" must be an integer >= 2";
+    check_int_at_least ~cmd:"variation" "samples" ~min:2 samples;
     with_obs obs @@ fun () ->
     let problem =
       Power_core.Calibration.problem_of_row Device.Technology.ll
@@ -776,8 +804,7 @@ let yield_cmd =
   let run jobs obs label dies sampler chunk =
     set_jobs jobs;
     let row = table1_row ~cmd:"yield" label in
-    if dies < 1 then
-      invalid_params ~cmd:"yield" "\"dies\" must be an integer >= 1";
+    check_int_at_least ~cmd:"yield" "dies" ~min:1 dies;
     if chunk < 64 || chunk mod 64 <> 0 then
       invalid_params ~cmd:"yield"
         "\"chunk\" must be a positive multiple of the 64-die warm chain";
@@ -811,6 +838,7 @@ let thermal_cmd =
     let f = Power_core.Paper_data.frequency in
     let base = Device.Technology.ll in
     let row = table1_row ~cmd:"thermal" label in
+    check_int_at_least ~cmd:"thermal" "instances" ~min:1 instances;
     let problem0 = Power_core.Calibration.problem_of_row base ~f row in
     let optimum_at (tech : Device.Technology.t) =
       (* Leakage magnifies with die temperature; the 300 K calibration of

@@ -1,5 +1,3 @@
-module C = Netlist.Circuit
-
 type result = {
   activity : float;
   toggles_per_cycle : float;
@@ -8,15 +6,7 @@ type result = {
   per_cell : float array;
 }
 
-type drive = Simulator.t -> cycle:int -> unit
-
-let run_cycle ~ticks_per_cycle ~drive sim ~cycle =
-  drive sim ~cycle;
-  Simulator.settle sim;
-  for _ = 1 to ticks_per_cycle do
-    Simulator.clock_tick sim;
-    Simulator.settle sim
-  done
+type drive = Compiled.t -> cycle:int -> unit
 
 (* Necessary-transition accounting: one transition per driven net whose
    settled value changed 0<->1 across a data cycle; anything beyond is
@@ -35,18 +25,18 @@ type batched = { bp : Bitpar.t; pis : int array; mutable pending : int }
 type accounting = Incremental | Batched of batched
 
 let start_accounting sim =
-  if Simulator.has_dffs sim then begin
-    Simulator.snapshot_baseline sim;
+  if Compiled.has_dffs sim then begin
+    Compiled.snapshot_baseline sim;
     Incremental
   end
   else begin
-    let st = Simulator.static sim in
+    let st = Compiled.static sim in
     let bp = Bitpar.create st in
     let pis = st.Compiled.pis in
     (* Lane 0 carries the pre-measurement settled state — the baseline the
        first measured cycle is compared against. *)
     Array.iter
-      (fun net -> Bitpar.set_input bp ~net ~lane:0 (Simulator.value sim net))
+      (fun net -> Bitpar.set_input bp ~net ~lane:0 (Compiled.value sim net))
       pis;
     Batched { bp; pis; pending = 0 }
   end
@@ -65,13 +55,13 @@ let flush_batch b necessary_total =
 let account_cycle acc sim necessary_total =
   match acc with
   | Incremental ->
-    necessary_total := !necessary_total + Simulator.necessary_transitions sim
+    necessary_total := !necessary_total + Compiled.necessary_transitions sim
   | Batched b ->
     if b.pending = Bitpar.lanes - 1 then flush_batch b necessary_total;
     b.pending <- b.pending + 1;
     Array.iter
       (fun net ->
-        Bitpar.set_input b.bp ~net ~lane:b.pending (Simulator.value sim net))
+        Bitpar.set_input b.bp ~net ~lane:b.pending (Compiled.value sim net))
       b.pis
 
 let finish_accounting acc necessary_total =
@@ -79,43 +69,58 @@ let finish_accounting acc necessary_total =
   | Incremental -> ()
   | Batched b -> flush_batch b necessary_total
 
+(* Warm up and zero the counters, then return [run count], which measures
+   the next [count] data cycles, and [finish], which assembles the result
+   over every cycle measured so far: [measure] runs once, [measure_until]
+   once per batch. *)
+let measurement ~warmup ~ticks_per_cycle ~drive sim =
+  let data_cycle cycle =
+    drive sim ~cycle;
+    Compiled.data_cycle sim ~ticks:ticks_per_cycle
+  in
+  for cycle = 0 to warmup - 1 do
+    data_cycle cycle
+  done;
+  Compiled.reset_toggles sim;
+  let acc = start_accounting sim in
+  let necessary_total = ref 0 and measured = ref 0 in
+  let run count =
+    for i = 0 to count - 1 do
+      data_cycle (warmup + !measured + i);
+      account_cycle acc sim necessary_total
+    done;
+    measured := !measured + count
+  in
+  let finish () =
+    finish_accounting acc necessary_total;
+    let total = Compiled.total_toggles sim in
+    let n = Compiled.countable_cells sim in
+    let fcycles = float_of_int !measured in
+    let toggles_per_cycle = float_of_int total /. fcycles in
+    let glitch_ratio =
+      if total = 0 then 0.0
+      else float_of_int (total - !necessary_total) /. float_of_int total
+    in
+    {
+      activity = toggles_per_cycle /. float_of_int (max 1 n);
+      toggles_per_cycle;
+      glitch_ratio = Float.max 0.0 glitch_ratio;
+      cycles = !measured;
+      per_cell =
+        Array.map
+          (fun toggles -> float_of_int toggles /. fcycles)
+          (Compiled.cell_toggles sim);
+    }
+  in
+  (run, finish)
+
 let measure ?(warmup = 4) ?(ticks_per_cycle = 1) ~cycles ~drive sim =
   if cycles < 1 then invalid_arg "Activity.measure: cycles < 1";
   if ticks_per_cycle < 1 then
     invalid_arg "Activity.measure: ticks_per_cycle < 1";
-  for cycle = 0 to warmup - 1 do
-    run_cycle ~ticks_per_cycle ~drive sim ~cycle
-  done;
-  Simulator.reset_toggles sim;
-  let circuit = Simulator.circuit sim in
-  let cell_count = C.cell_count circuit in
-  let n = Simulator.countable_cells sim in
-  let necessary_total = ref 0 in
-  let acc = start_accounting sim in
-  for cycle = 0 to cycles - 1 do
-    run_cycle ~ticks_per_cycle ~drive sim ~cycle:(warmup + cycle);
-    account_cycle acc sim necessary_total
-  done;
-  finish_accounting acc necessary_total;
-  let toggles = Simulator.cell_toggles sim in
-  let total = Simulator.total_toggles sim in
-  let fcycles = float_of_int cycles in
-  let per_cell =
-    Array.init cell_count (fun i -> float_of_int toggles.(i) /. fcycles)
-  in
-  let toggles_per_cycle = float_of_int total /. fcycles in
-  let glitch_ratio =
-    if total = 0 then 0.0
-    else
-      float_of_int (total - !necessary_total) /. float_of_int total
-  in
-  {
-    activity = toggles_per_cycle /. float_of_int (max 1 n);
-    toggles_per_cycle;
-    glitch_ratio = Float.max 0.0 glitch_ratio;
-    cycles;
-    per_cell;
-  }
+  let run, finish = measurement ~warmup ~ticks_per_cycle ~drive sim in
+  run cycles;
+  finish ()
 
 type converged = {
   result : result;
@@ -123,83 +128,42 @@ type converged = {
   batches : int;
 }
 
+(* Standard error of the per-batch activities over their mean; infinite
+   below two batches. *)
+let relative_stderr = function
+  | _ :: _ :: _ as xs ->
+    let mean = Numerics.Stats.mean xs in
+    if mean <= 0.0 then 0.0
+    else
+      Numerics.Stats.stddev xs /. sqrt (float_of_int (List.length xs)) /. mean
+  | [ _ ] | [] -> infinity
+
 let measure_until ?(warmup = 4) ?(ticks_per_cycle = 1) ?(batch = 40)
     ?(rel_tol = 0.02) ?(max_cycles = 2000) ~drive sim =
   if batch < 2 then invalid_arg "Activity.measure_until: batch < 2";
   if rel_tol <= 0.0 then invalid_arg "Activity.measure_until: rel_tol <= 0";
-  for cycle = 0 to warmup - 1 do
-    run_cycle ~ticks_per_cycle ~drive sim ~cycle
-  done;
-  Simulator.reset_toggles sim;
-  let circuit = Simulator.circuit sim in
-  let n = max 1 (Simulator.countable_cells sim) in
-  let batch_activities = ref [] in
-  let necessary_total = ref 0 in
-  let acc = start_accounting sim in
-  let total_cycles = ref 0 in
-  let batches = ref 0 in
-  let stderr_ok () =
-    match !batch_activities with
-    | _ :: _ :: _ as xs ->
-      let mean = Numerics.Stats.mean xs in
-      if mean <= 0.0 then true
-      else begin
-        let stderr =
-          Numerics.Stats.stddev xs
-          /. sqrt (float_of_int (List.length xs))
-        in
-        stderr /. mean < rel_tol
-      end
-    | [ _ ] | [] -> false
-  in
+  let run, finish = measurement ~warmup ~ticks_per_cycle ~drive sim in
+  let n = max 1 (Compiled.countable_cells sim) in
+  let batch_activities = ref [] and batches = ref 0 in
   let run_batch () =
-    let start_toggles = Simulator.total_toggles sim in
-    for i = 0 to batch - 1 do
-      run_cycle ~ticks_per_cycle ~drive sim
-        ~cycle:(warmup + !total_cycles + i);
-      account_cycle acc sim necessary_total
-    done;
-    total_cycles := !total_cycles + batch;
+    let start_toggles = Compiled.total_toggles sim in
+    run batch;
     incr batches;
-    let batch_toggles = Simulator.total_toggles sim - start_toggles in
+    let batch_toggles = Compiled.total_toggles sim - start_toggles in
     batch_activities :=
       float_of_int batch_toggles /. float_of_int (batch * n)
       :: !batch_activities
   in
   run_batch ();
-  while (not (stderr_ok ())) && !total_cycles + batch <= max_cycles do
+  while
+    (not (relative_stderr !batch_activities < rel_tol))
+    && (!batches + 1) * batch <= max_cycles
+  do
     run_batch ()
   done;
-  finish_accounting acc necessary_total;
-  let cycles = !total_cycles in
-  let total = Simulator.total_toggles sim in
-  let toggles = Simulator.cell_toggles sim in
-  let fcycles = float_of_int cycles in
-  let relative_stderr =
-    match !batch_activities with
-    | _ :: _ :: _ as xs ->
-      let mean = Numerics.Stats.mean xs in
-      if mean <= 0.0 then 0.0
-      else
-        Numerics.Stats.stddev xs /. sqrt (float_of_int (List.length xs)) /. mean
-    | [ _ ] | [] -> infinity
-  in
   {
-    result =
-      {
-        activity = float_of_int total /. (fcycles *. float_of_int n);
-        toggles_per_cycle = float_of_int total /. fcycles;
-        glitch_ratio =
-          (if total = 0 then 0.0
-           else
-             Float.max 0.0
-               (float_of_int (total - !necessary_total) /. float_of_int total));
-        cycles;
-        per_cell =
-          Array.init (C.cell_count circuit) (fun i ->
-              float_of_int toggles.(i) /. fcycles);
-      };
-    relative_stderr;
+    result = finish ();
+    relative_stderr = relative_stderr !batch_activities;
     batches = !batches;
   }
 

@@ -16,7 +16,7 @@ type result = {
   per_cell : float array;  (** Average transitions per data cycle, per cell. *)
 }
 
-type drive = Simulator.t -> cycle:int -> unit
+type drive = Compiled.t -> cycle:int -> unit
 (** Applies stimulus for one data cycle: set primary inputs (the harness
     settles and clocks). *)
 
@@ -25,7 +25,7 @@ val measure :
   ?ticks_per_cycle:int ->
   cycles:int ->
   drive:drive ->
-  Simulator.t ->
+  Compiled.t ->
   result
 (** Run [warmup] (default 4) unmeasured data cycles, then [cycles] measured
     ones. Each data cycle applies the stimulus, then performs
@@ -50,7 +50,7 @@ val measure_until :
   ?rel_tol:float ->
   ?max_cycles:int ->
   drive:drive ->
-  Simulator.t ->
+  Compiled.t ->
   converged
 (** Measure in batches (default 40 cycles) until the activity estimate's
     relative standard error drops below [rel_tol] (default 2 %) or

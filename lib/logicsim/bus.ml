@@ -27,11 +27,11 @@ let drive sim bus value =
   if width < 63 && value lsr width <> 0 then
     invalid_arg "Bus.to_values: value does not fit";
   for i = 0 to width - 1 do
-    Simulator.set_input sim bus.(i)
+    Compiled.set_input sim bus.(i)
       (Logic.of_bool ((value lsr i) land 1 = 1))
   done
 
-let read sim bus = of_values (Array.map (Simulator.value sim) bus)
+let read sim bus = of_values (Array.map (Compiled.value sim) bus)
 
 let read_exn sim bus =
   match read sim bus with

@@ -7,11 +7,11 @@ val to_values : width:int -> int -> Netlist.Logic.value array
 val of_values : Netlist.Logic.value array -> int option
 (** [None] if any bit is X. *)
 
-val drive : Simulator.t -> Netlist.Circuit.net array -> int -> unit
+val drive : Compiled.t -> Netlist.Circuit.net array -> int -> unit
 (** Apply an integer to a primary-input bus (no settle). *)
 
-val read : Simulator.t -> Netlist.Circuit.net array -> int option
+val read : Compiled.t -> Netlist.Circuit.net array -> int option
 (** Read an integer off any net bus. *)
 
-val read_exn : Simulator.t -> Netlist.Circuit.net array -> int
+val read_exn : Compiled.t -> Netlist.Circuit.net array -> int
 (** @raise Failure when a bit is X. *)

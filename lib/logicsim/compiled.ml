@@ -600,7 +600,7 @@ let settle ?(event_limit = 10_000_000) t =
       then begin
         incr processed;
         if !processed > event_limit then
-          failwith "Simulator.settle: event limit exceeded (oscillation?)";
+          failwith "Compiled.settle: event limit exceeded (oscillation?)";
         (* [Float.max] without the call: times are never NaN here. Every
            queued time is at least [t.time] (pushes launch from it with
            non-negative delays), so [t.time] becomes the popped time —
@@ -620,7 +620,7 @@ let settle ?(event_limit = 10_000_000) t =
 
 let set_input t net v =
   if net < 0 || net >= t.st.n_nets || t.st.driver.(net) >= 0 then
-    invalid_arg "Simulator.set_input: not a primary input";
+    invalid_arg "Compiled.set_input: not a primary input";
   schedule t ~time:(Array.unsafe_get t.time 0) net (code_of_logic v)
 
 let clock_tick t =
@@ -638,6 +638,13 @@ let clock_tick t =
     schedule t ~time
       (Array.unsafe_get t.out_net (Array.unsafe_get t.out_off id))
       d
+  done
+
+let data_cycle t ~ticks =
+  settle t;
+  for _ = 1 to ticks do
+    clock_tick t;
+    settle t
   done
 
 let snapshot_baseline t =

@@ -1,18 +1,24 @@
-(** One-time compilation of a netlist into flat arrays, and the
-    allocation-free event-driven kernel that runs on them.
+(** The event-driven gate-level simulator with inertial delays, standing
+    in for the paper's timing-annotated ModelSIM runs. Gate delays come
+    from {!Netlist.Cell.delay}, so unequal path depths glitch as they do
+    in the paper's diagonally pipelined multipliers.
 
-    {!compile} lowers a {!Netlist.Circuit.t} into a {!static}: per-cell kind
-    codes, CSR (offset + flat index) arrays for cell inputs, cell outputs
-    (with the per-output delay alongside) and per-net combinational fanout,
-    the driving cell of every net, the flip-flop list for {!clock_tick} and
-    the power-up initialisation schedule. The event loop then touches only
-    these arrays plus [Bytes.t] value planes — no [Cell.eval] input/output
-    array allocation, no [option] boxing for pending transitions, no boxed
-    queue entries (see {!Calendar}) — while committing {e exactly} the
-    same event sequence as {!Reference}: same serial numbers, same
-    tie-breaks, same toggle counts, same settled values. The differential
-    suite in [test_logicsim.ml] holds the two kernels bitwise equal across
-    the whole multiplier catalog.
+    {!compile} lowers a {!Netlist.Circuit.t} once into a {!static}:
+    per-cell kind codes, CSR (offset + flat index) arrays for cell inputs,
+    cell outputs (with the per-output delay alongside) and per-net
+    combinational fanout, the driving cell of every net, the flip-flop
+    list for {!clock_tick} and the power-up schedule. The event loop then
+    touches only these arrays plus [Bytes.t] value planes and the
+    {!Calendar}, and allocates nothing per event. The differential suite
+    holds it bitwise equal (serial numbers, tie-breaks, toggle counts,
+    settled values) to the original boxed kernel, a test-only oracle,
+    across the whole multiplier catalog.
+
+    Toggle accounting: a committed 0↔1 transition on a cell's output
+    increments that cell's counter (X resolutions are not counted). The
+    inertial model cancels a pending transition when a newer evaluation
+    reverts it before it commits — pulses shorter than the gate delay are
+    swallowed, longer ones propagate as glitches.
 
     Logic values are coded [0 = Zero], [1 = One], [2 = X] (and [3 = no
     pending transition] in the pending plane). *)
@@ -69,11 +75,10 @@ val compile : Netlist.Circuit.t -> static
     of the sorted array, and steady-state operation never allocates
     (popped nodes go on a free list; {!clear} frees them all in O(1)).
 
-    Pop order is the (time, insertion order) total order, exactly like
-    {!Event_queue}: entries at bit-identical times drain FIFO, buckets
-    drain in ascending time order, and a time that reappears after its
-    bucket drained sorts back into place. A kernel built on either queue
-    commits events in the same sequence. Times must not be NaN. Popping
+    Pop order is the (time, insertion order) total order: entries at
+    bit-identical times drain FIFO, buckets drain in ascending time order,
+    and a time that reappears after its bucket drained sorts back into
+    place. Times must not be NaN. Popping
     deposits the entry into three scratch cells read with
     {!top_time}/{!top_a}/{!top_b} instead of returning a tuple. *)
 module Calendar : sig
@@ -104,10 +109,7 @@ module Calendar : sig
   (** Earliest scheduled time without removing the entry. *)
 end
 
-(** {1 Event-driven kernel}
-
-    Drop-in replacement for the reference simulator; {!Simulator} re-exports
-    this interface. *)
+(** {1 Event-driven kernel} *)
 
 type t
 
@@ -124,8 +126,21 @@ val now : t -> float
 
 val value : t -> Netlist.Circuit.net -> Netlist.Logic.value
 val set_input : t -> Netlist.Circuit.net -> Netlist.Logic.value -> unit
+(** Schedule a primary-input change at the current time.
+    @raise Invalid_argument if the net is not a primary input. *)
+
 val settle : ?event_limit:int -> t -> unit
+(** Run the event loop until quiescent; advances [now] to the last event.
+    @raise Failure if [event_limit] (default 10 million) is exceeded —
+    indicates oscillation. *)
+
 val clock_tick : t -> unit
+(** Synchronous clock edge: samples every flip-flop's D simultaneously and
+    schedules Q updates after the clk→q delay. *)
+
+val data_cycle : t -> ticks:int -> unit
+(** The rest of one data cycle once its stimulus is applied: {!settle},
+    then [ticks] times a {!clock_tick} followed by a {!settle}. *)
 
 val cell_toggles : t -> int array
 val cell_toggles_into : t -> int array -> unit
@@ -135,7 +150,10 @@ val cell_toggles_into : t -> int array -> unit
 val total_toggles : t -> int
 val reset_toggles : t -> unit
 val snapshot_values : t -> Netlist.Logic.value array
+
 val events_processed : t -> int
+(** Committed events since creation (monotonic; not reset by
+    {!reset_toggles}). *)
 
 val countable_cells : t -> int
 (** Hoisted activity denominator: cells that are not ties. *)
@@ -155,5 +173,4 @@ val snapshot_baseline : t -> unit
 
 val necessary_transitions : t -> int
 (** Number of driven nets whose settled value changed 0↔1 since the
-    baseline (X resolutions are free, matching the reference accounting),
-    then re-baseline. *)
+    baseline (X resolutions are free), then re-baseline. *)

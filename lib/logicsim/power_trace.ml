@@ -18,14 +18,10 @@ type t = {
 let record ?(warmup = 4) ?(ticks_per_cycle = 1) ~vdd ~cycles ~drive sim =
   if cycles < 1 then invalid_arg "Power_trace.record: cycles < 1";
   if vdd <= 0.0 then invalid_arg "Power_trace.record: vdd <= 0";
-  let circuit = Simulator.circuit sim in
+  let circuit = Compiled.circuit sim in
   let run_cycle ~cycle =
     drive sim ~cycle;
-    Simulator.settle sim;
-    for _ = 1 to ticks_per_cycle do
-      Simulator.clock_tick sim;
-      Simulator.settle sim
-    done
+    Compiled.data_cycle sim ~ticks:ticks_per_cycle
   in
   for cycle = 0 to warmup - 1 do
     run_cycle ~cycle
@@ -40,11 +36,11 @@ let record ?(warmup = 4) ?(ticks_per_cycle = 1) ~vdd ~cycles ~drive sim =
     circuit;
   let previous = Array.make n_cells 0 and current = Array.make n_cells 0 in
   let records = ref [] in
-  Simulator.cell_toggles_into sim previous;
-  let previous_total = ref (Simulator.total_toggles sim) in
+  Compiled.cell_toggles_into sim previous;
+  let previous_total = ref (Compiled.total_toggles sim) in
   for index = 0 to cycles - 1 do
     run_cycle ~cycle:(warmup + index);
-    Simulator.cell_toggles_into sim current;
+    Compiled.cell_toggles_into sim current;
     let acc = Numerics.Kahan.create () in
     for i = 0 to n_cells - 1 do
       let delta = current.(i) - previous.(i) in
@@ -52,9 +48,9 @@ let record ?(warmup = 4) ?(ticks_per_cycle = 1) ~vdd ~cycles ~drive sim =
         Numerics.Kahan.add acc (float_of_int delta *. cap.(i))
     done;
     let switched_cap = Numerics.Kahan.sum acc in
-    let toggles = Simulator.total_toggles sim - !previous_total in
+    let toggles = Compiled.total_toggles sim - !previous_total in
     Array.blit current 0 previous 0 n_cells;
-    previous_total := Simulator.total_toggles sim;
+    previous_total := Compiled.total_toggles sim;
     records :=
       { index; toggles; switched_cap; energy = switched_cap *. vdd *. vdd }
       :: !records

@@ -26,7 +26,7 @@ val record :
   vdd:float ->
   cycles:int ->
   drive:Activity.drive ->
-  Simulator.t ->
+  Compiled.t ->
   t
 (** Run like {!Activity.measure} but keep the per-cycle breakdown. The
     capacitance weight of a toggle is its driving cell's

@@ -7,7 +7,7 @@ type probe = {
 }
 
 type t = {
-  sim : Simulator.t;
+  sim : Compiled.t;
   timescale : string;
   probes : probe list;
   names : (string * string) list;  (* code, display name *)
@@ -56,7 +56,7 @@ let sample t ~time =
   let pending = Buffer.create 64 in
   List.iter
     (fun probe ->
-      let now = Simulator.value t.sim probe.net in
+      let now = Compiled.value t.sim probe.net in
       let changed =
         match probe.last with
         | None -> true

@@ -1,7 +1,7 @@
 (** Value Change Dump (IEEE 1364 §18) writer.
 
-    Records selected nets of a running {!Simulator} and emits a standard
-    VCD file viewable in GTKWave & co. Sampling is explicit: call
+    Records selected nets of a running {!Compiled} kernel and emits a
+    standard VCD file viewable in GTKWave & co. Sampling is explicit: call
     {!sample} whenever the simulation reaches a point of interest
     (typically after each settle); only changed values are dumped. *)
 
@@ -9,7 +9,7 @@ type t
 
 val create :
   ?timescale:string ->
-  Simulator.t ->
+  Compiled.t ->
   nets:(Netlist.Circuit.net * string) list ->
   t
 (** Start a recording of the given nets (with display names).

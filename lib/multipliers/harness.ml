@@ -1,4 +1,3 @@
-module Sim = Logicsim.Simulator
 module Bus = Logicsim.Bus
 module Compiled = Logicsim.Compiled
 
@@ -21,16 +20,12 @@ let compiled_static (spec : Spec.t) =
         Hashtbl.replace static_cache spec.name st;
         st)
 
-let fresh_simulator (spec : Spec.t) = Sim.of_static (compiled_static spec)
+let fresh_simulator (spec : Spec.t) = Compiled.of_static (compiled_static spec)
 
 let compute (spec : Spec.t) sim x y =
   Bus.drive sim spec.a_bus x;
   Bus.drive sim spec.b_bus y;
-  Sim.settle sim;
-  for _ = 1 to spec.latency_ticks do
-    Sim.clock_tick sim;
-    Sim.settle sim
-  done;
+  Compiled.data_cycle sim ~ticks:spec.latency_ticks;
   Bus.read_exn sim spec.p_bus
 
 let check_pairs (spec : Spec.t) pairs =

@@ -1,12 +1,12 @@
 (** Driving a multiplier spec through the logic simulator: functional
     checks and activity measurement. *)
 
-val compute : Spec.t -> Logicsim.Simulator.t -> int -> int -> int
+val compute : Spec.t -> Logicsim.Compiled.t -> int -> int -> int
 (** [compute spec sim x y] applies the operands, holds them for the spec's
     latency and reads the product. The simulator keeps its state — call
     repeatedly for streaming. @raise Failure on X output bits. *)
 
-val fresh_simulator : Spec.t -> Logicsim.Simulator.t
+val fresh_simulator : Spec.t -> Logicsim.Compiled.t
 
 val check_random :
   ?seed:int -> Spec.t -> samples:int -> (int * int * int * int) list

@@ -3,9 +3,9 @@
     Evaluates a circuit cycle-accurately in topological order, ignoring all
     gate delays. Glitches never exist here, so it cannot measure activity —
     its job is to provide an independent oracle: after the event-driven
-    {!Simulator} settles, every net must agree with this evaluator
-    (differential testing), and multi-cycle behaviour must match tick for
-    tick. *)
+    {!Logicsim.Compiled} kernel settles, every net must agree with this
+    evaluator (differential testing), and multi-cycle behaviour must match
+    tick for tick. *)
 
 type state
 (** Immutable snapshot: one value per net. *)

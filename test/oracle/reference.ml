@@ -104,7 +104,7 @@ let settle ?(event_limit = 10_000_000) t =
       then begin
         incr processed;
         if !processed > event_limit then
-          failwith "Simulator.settle: event limit exceeded (oscillation?)";
+          failwith "Reference.settle: event limit exceeded (oscillation?)";
         t.time <- Float.max t.time time;
         commit t ~time event
       end;
@@ -119,7 +119,7 @@ let settle ?(event_limit = 10_000_000) t =
 
 let set_input t net v =
   if not (C.is_primary_input t.circuit net) then
-    invalid_arg "Simulator.set_input: not a primary input";
+    invalid_arg "Reference.set_input: not a primary input";
   schedule t ~time:t.time net v
 
 let clock_tick t =

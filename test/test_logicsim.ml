@@ -4,7 +4,7 @@
 module C = Netlist.Circuit
 module Cell = Netlist.Cell
 module Logic = Netlist.Logic
-module Sim = Logicsim.Simulator
+module Sim = Logicsim.Compiled
 
 let value_t =
   Alcotest.testable (fun ppf v -> Logic.pp ppf v) Logic.equal
@@ -12,47 +12,47 @@ let value_t =
 (* Event_queue *)
 
 let test_queue_ordering () =
-  let q = Logicsim.Event_queue.create () in
-  Logicsim.Event_queue.push q ~time:3.0 "c";
-  Logicsim.Event_queue.push q ~time:1.0 "a";
-  Logicsim.Event_queue.push q ~time:2.0 "b";
+  let q = Oracle.Event_queue.create () in
+  Oracle.Event_queue.push q ~time:3.0 "c";
+  Oracle.Event_queue.push q ~time:1.0 "a";
+  Oracle.Event_queue.push q ~time:2.0 "b";
   let pop () =
-    match Logicsim.Event_queue.pop q with
+    match Oracle.Event_queue.pop q with
     | Some (_, x) -> x
     | None -> Alcotest.fail "queue empty"
   in
   Alcotest.(check string) "first" "a" (pop ());
   Alcotest.(check string) "second" "b" (pop ());
   Alcotest.(check string) "third" "c" (pop ());
-  Alcotest.(check bool) "empty" true (Logicsim.Event_queue.is_empty q)
+  Alcotest.(check bool) "empty" true (Oracle.Event_queue.is_empty q)
 
 let test_queue_fifo_ties () =
-  let q = Logicsim.Event_queue.create () in
-  List.iter (fun s -> Logicsim.Event_queue.push q ~time:1.0 s) [ "x"; "y"; "z" ];
+  let q = Oracle.Event_queue.create () in
+  List.iter (fun s -> Oracle.Event_queue.push q ~time:1.0 s) [ "x"; "y"; "z" ];
   let order =
     List.init 3 (fun _ ->
-        match Logicsim.Event_queue.pop q with
+        match Oracle.Event_queue.pop q with
         | Some (_, s) -> s
         | None -> "?")
   in
   Alcotest.(check (list string)) "insertion order on ties" [ "x"; "y"; "z" ] order
 
 let test_queue_peek () =
-  let q = Logicsim.Event_queue.create () in
+  let q = Oracle.Event_queue.create () in
   Alcotest.(check (option (float 0.0))) "empty peek" None
-    (Logicsim.Event_queue.peek_time q);
-  Logicsim.Event_queue.push q ~time:5.0 ();
+    (Oracle.Event_queue.peek_time q);
+  Oracle.Event_queue.push q ~time:5.0 ();
   Alcotest.(check (option (float 0.0))) "peek" (Some 5.0)
-    (Logicsim.Event_queue.peek_time q)
+    (Oracle.Event_queue.peek_time q)
 
 let prop_queue_sorts =
   QCheck.Test.make ~name:"pops are time-sorted" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 50) (float_range 0.0 100.0))
     (fun times ->
-      let q = Logicsim.Event_queue.create () in
-      List.iter (fun t -> Logicsim.Event_queue.push q ~time:t ()) times;
+      let q = Oracle.Event_queue.create () in
+      List.iter (fun t -> Oracle.Event_queue.push q ~time:t ()) times;
       let rec drain last =
-        match Logicsim.Event_queue.pop q with
+        match Oracle.Event_queue.pop q with
         | None -> true
         | Some (t, ()) -> t >= last && drain t
       in
@@ -469,7 +469,7 @@ let prop_calendar_sorted =
    bit for bit — settled values, per-cell toggles, committed events, time —
    on every architecture of the catalog under identical stimulus. *)
 
-module Ref = Logicsim.Reference
+module Ref = Oracle.Reference
 module Compiled = Logicsim.Compiled
 module Bitpar = Logicsim.Bitpar
 
@@ -866,6 +866,83 @@ let test_bitpar_fault_coverage_matches_scalar () =
          f1.net = f2.net && f1.polarity = f2.polarity)
        scalar_undetected cov.undetected)
 
+(* Shared data-cycle loop: one [measure_until] batch that fills
+   [max_cycles] runs exactly the cycles of [measure] with the same seed,
+   so the two results agree bit for bit. *)
+
+let measure_both ~seed ~ticks circuit buses =
+  let run f =
+    let sim = Sim.create circuit in
+    let rng = Numerics.Rng.create seed in
+    f sim (Logicsim.Activity.random_drive ~rng ~buses)
+  in
+  let once =
+    run (fun sim drive ->
+        Logicsim.Activity.measure ~ticks_per_cycle:ticks ~cycles:40 ~drive sim)
+  in
+  let until =
+    run (fun sim drive ->
+        Logicsim.Activity.measure_until ~ticks_per_cycle:ticks ~batch:40
+          ~max_cycles:40 ~drive sim)
+  in
+  (once, until)
+
+let check_until_matches_measure (once : Logicsim.Activity.result)
+    (until : Logicsim.Activity.converged) =
+  Alcotest.(check int) "one batch" 1 until.batches;
+  Alcotest.(check int) "cycles" once.cycles until.result.cycles;
+  Alcotest.(check (float 0.0))
+    "toggles per cycle" once.toggles_per_cycle until.result.toggles_per_cycle;
+  Alcotest.(check (float 0.0))
+    "glitch ratio" once.glitch_ratio until.result.glitch_ratio;
+  Alcotest.(check (array (float 0.0)))
+    "per cell" once.per_cell until.result.per_cell;
+  Alcotest.(check bool) "switching seen" true (once.toggles_per_cycle > 0.0)
+
+let test_until_matches_measure_combinational () =
+  let c, a, b, _ = wallace_core_circuit 4 in
+  Alcotest.(check bool) "no flip-flops" false (Sim.has_dffs (Sim.create c));
+  let once, until = measure_both ~seed:41 ~ticks:1 c [ a; b ] in
+  check_until_matches_measure once until
+
+let test_until_matches_measure_sequential () =
+  let spec = Multipliers.Catalog.build "Sequential" in
+  Alcotest.(check bool)
+    "flip-flops" true
+    (Sim.has_dffs (Sim.create spec.circuit));
+  let once, until =
+    measure_both ~seed:43 ~ticks:spec.ticks_per_cycle spec.circuit
+      [ spec.a_bus; spec.b_bus ]
+  in
+  check_until_matches_measure once until
+
+let test_trace_toggles_sum_to_measure () =
+  let spec = Multipliers.Catalog.build "Sequential" in
+  let buses = [ spec.a_bus; spec.b_bus ] in
+  let measured =
+    let sim = Sim.create spec.circuit in
+    let rng = Numerics.Rng.create 47 in
+    let drive = Logicsim.Activity.random_drive ~rng ~buses in
+    ignore
+      (Logicsim.Activity.measure ~ticks_per_cycle:spec.ticks_per_cycle
+         ~cycles:30 ~drive sim);
+    Sim.total_toggles sim
+  in
+  let trace =
+    let sim = Sim.create spec.circuit in
+    let rng = Numerics.Rng.create 47 in
+    let drive = Logicsim.Activity.random_drive ~rng ~buses in
+    Logicsim.Power_trace.record ~ticks_per_cycle:spec.ticks_per_cycle ~vdd:1.0
+      ~cycles:30 ~drive sim
+  in
+  let summed =
+    List.fold_left
+      (fun acc (r : Logicsim.Power_trace.cycle_record) -> acc + r.toggles)
+      0 trace.cycles
+  in
+  Alcotest.(check bool) "switching seen" true (measured > 0);
+  Alcotest.(check int) "trace toggles = measured toggles" measured summed
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -915,6 +992,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_activity_validation;
           Alcotest.test_case "constant input quiesces" `Quick
             test_activity_constant_input_quiesces;
+          Alcotest.test_case "until = measure, combinational" `Quick
+            test_until_matches_measure_combinational;
+          Alcotest.test_case "until = measure, sequential" `Quick
+            test_until_matches_measure_sequential;
+          Alcotest.test_case "trace toggles sum to measure" `Quick
+            test_trace_toggles_sum_to_measure;
         ] );
       ( "faults",
         [
